@@ -127,14 +127,19 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
   return admitted;
 }
 
+Broker::Ticket Broker::make_ticket(const SolveRequest& request) const {
+  // Braced initializers run in order: the queue clock starts once admission
+  // is done.
+  return Ticket{0, request, admit(request), std::chrono::steady_clock::now()};
+}
+
 util::Expected<algorithms::FrontReport> Broker::solve_canonical(
-    const SolveRequest& request, const Admitted& admitted,
-    const util::CancelToken* cancel) const {
+    const SolveKnobs& knobs, const Admitted& admitted, const util::CancelToken* cancel) const {
   algorithms::SolveOptions options;
-  options.method = request.method;
-  options.auto_exhaustive_budget = request.max_evaluations;
-  options.pareto_thresholds = request.pareto_thresholds;
-  options.exhaustive.max_evaluations = request.max_evaluations;
+  options.method = knobs.method;
+  options.auto_exhaustive_budget = knobs.max_evaluations;
+  options.pareto_thresholds = knobs.pareto_thresholds;
+  options.exhaustive.max_evaluations = knobs.max_evaluations;
   options.exhaustive.pool = options_.pool;
   options.exhaustive.cancel = cancel;
   options.heuristic.pool = options_.pool;
@@ -143,12 +148,12 @@ util::Expected<algorithms::FrontReport> Broker::solve_canonical(
   const pipeline::Pipeline& pipeline = admitted.canonical.pipeline;
   const platform::Platform& platform = admitted.canonical.platform;
 
-  if (request.objective == Objective::ParetoFront) {
+  if (knobs.objective == Objective::ParetoFront) {
     return algorithms::solve_pareto_front(pipeline, platform, options);
   }
 
   util::Expected<algorithms::SolveReport> solved =
-      request.objective == Objective::MinFpForLatency
+      knobs.objective == Objective::MinFpForLatency
           ? algorithms::solve_min_fp_for_latency(pipeline, platform,
                                                  admitted.threshold_canonical, options)
           : algorithms::solve_min_latency_for_fp(pipeline, platform,
@@ -195,16 +200,19 @@ std::vector<util::Expected<Reply>> Broker::solve_batch(std::span<const SolveRequ
     for (std::size_t i = 0; i < requests.size(); ++i) replies.push_back(shutting_down_error());
     return replies;
   }
-  return solve_batch_timed(requests, {});
+  std::vector<Ticket> tickets;
+  tickets.reserve(requests.size());
+  for (const SolveRequest& request : requests) tickets.push_back(make_ticket(request));
+  return dispatch(tickets, {});
 }
 
-std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
-    std::span<const SolveRequest> requests, std::span<const double> queue_waits) {
-  const std::size_t count = requests.size();
+std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tickets,
+                                                    std::span<const double> queue_waits) {
+  const std::size_t count = tickets.size();
   metrics_.batches_total.add(1);
   metrics_.requests_total.add(count);
   std::vector<std::optional<util::Expected<Reply>>> staged(count);
-  std::vector<std::optional<Admitted>> admitted(count);
+  const auto admitted = [&](std::size_t i) -> const Admitted& { return *tickets[i].admitted; };
   const auto queue_wait_of = [&](std::size_t i) {
     return queue_waits.empty() ? 0.0 : queue_waits[i];
   };
@@ -228,34 +236,34 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
   std::vector<Group> groups;
   std::unordered_map<std::string_view, std::size_t> group_of;
   for (std::size_t i = 0; i < count; ++i) {
+    const SolveKnobs& knobs = tickets[i].knobs;
     // Dequeue-time deadline enforcement: a budget already spent while
-    // queued is rejected before any work happens (deadline 0 expires
-    // deterministically; NaN/negative fall through to admit's "malformed").
-    if (deadline_expired(requests[i].deadline, queue_wait_of(i) + skew)) {
+    // queued is rejected before its admission outcome is looked at (deadline
+    // 0 expires deterministically; NaN/negative fall through to admit's
+    // "malformed").
+    if (deadline_expired(knobs.deadline, queue_wait_of(i) + skew)) {
       metrics_.deadline_exceeded_total.add(1);
-      staged[i] = deadline_exceeded_error(requests[i].deadline);
+      staged[i] = deadline_exceeded_error(knobs.deadline);
       continue;
     }
-    util::Expected<Admitted> result = admit(requests[i]);
-    if (!result.has_value()) {
+    if (!tickets[i].admitted.has_value()) {
       metrics_.rejected_total.add(1);
-      staged[i] = result.error();
+      staged[i] = tickets[i].admitted.error();
       continue;
     }
-    metrics_.canonicalize.record(result->canonicalize_seconds);
+    metrics_.canonicalize.record(admitted(i).canonicalize_seconds);
     if (!queue_waits.empty()) metrics_.queue_wait.record(queue_waits[i]);
-    admitted[i] = std::move(result).take();
-    const double remaining = requests[i].deadline - queue_wait_of(i) - skew;
-    const std::string_view key = admitted[i]->full_key;
+    const double remaining = knobs.deadline - queue_wait_of(i) - skew;
+    const std::string_view key = admitted(i).full_key;
     auto [it, inserted] = group_of.try_emplace(key, groups.size());
     if (inserted) {
-      groups.push_back(Group{admitted[i]->full_hash, {i}, requests[i].priority,
-                             requests[i].deadline, i, remaining});
+      groups.push_back(
+          Group{admitted(i).full_hash, {i}, knobs.priority, knobs.deadline, i, remaining});
     } else {
       Group& group = groups[it->second];
       group.members.push_back(i);
-      group.priority = std::max(group.priority, requests[i].priority);
-      group.deadline = std::min(group.deadline, requests[i].deadline);
+      group.priority = std::max(group.priority, knobs.priority);
+      group.deadline = std::min(group.deadline, knobs.deadline);
       group.remaining = std::max(group.remaining, remaining);
     }
   }
@@ -272,7 +280,7 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
   exec::ThreadPool::resolve(options_.pool).run(groups.size(), [&](std::size_t g) {
     const Group& group = groups[g];
     const std::size_t lead_index = group.members.front();
-    const Admitted& lead = *admitted[lead_index];
+    const Admitted& lead = admitted(lead_index);
 
     // Mid-solve cancellation is armed with the group's *loosest* surviving
     // budget: the solve is abandoned only once no member still wants the
@@ -304,7 +312,7 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
       }
       const auto start = std::chrono::steady_clock::now();
       util::Expected<algorithms::FrontReport> solved =
-          solve_canonical(requests[lead_index], lead, &cancel);
+          solve_canonical(tickets[lead_index].knobs, lead, &cancel);
       lead_spans.solve_seconds = elapsed_seconds(start);
       metrics_.solve.record(lead_spans.solve_seconds);
       if (!solved.has_value() && solved.error().code == "cancelled") {
@@ -312,11 +320,11 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
         // completed reply can never depend on cancellation timing.
         metrics_.cancelled_total.add(1);
         if (options_.degrade_on_deadline) {
-          SolveRequest fallback_request = requests[lead_index];
-          fallback_request.method = algorithms::Method::Heuristic;
+          SolveKnobs fallback_knobs = tickets[lead_index].knobs;
+          fallback_knobs.method = algorithms::Method::Heuristic;
           const auto fallback_start = std::chrono::steady_clock::now();
           util::Expected<algorithms::FrontReport> fallback =
-              solve_canonical(fallback_request, lead, nullptr);
+              solve_canonical(fallback_knobs, lead, nullptr);
           lead_spans.solve_seconds += elapsed_seconds(fallback_start);
           if (fallback.has_value()) {
             const algorithms::FrontReport degraded_report = std::move(fallback).take();
@@ -325,9 +333,9 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
               TraceSpans spans = lead_spans;
               if (k != 0) {
                 spans.queue_wait_seconds = queue_wait_of(member);
-                spans.canonicalize_seconds = admitted[member]->canonicalize_seconds;
+                spans.canonicalize_seconds = admitted(member).canonicalize_seconds;
               }
-              Reply reply = make_reply(*admitted[member], degraded_report, false, spans);
+              Reply reply = make_reply(admitted(member), degraded_report, false, spans);
               reply.degraded = true;
               metrics_.degraded_total.add(1);
               staged[member] = std::move(reply);
@@ -338,7 +346,7 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
         }
         for (const std::size_t member : group.members) {
           metrics_.deadline_exceeded_total.add(1);
-          staged[member] = deadline_exceeded_error(requests[member].deadline);
+          staged[member] = deadline_exceeded_error(tickets[member].knobs.deadline);
         }
         return;
       }
@@ -361,14 +369,14 @@ std::vector<util::Expected<Reply>> Broker::solve_batch_timed(
       metrics_.deduped_total.add(1);
       TraceSpans member_spans;
       member_spans.queue_wait_seconds = queue_wait_of(member);
-      member_spans.canonicalize_seconds = admitted[member]->canonicalize_seconds;
+      member_spans.canonicalize_seconds = admitted(member).canonicalize_seconds;
       const auto member_probe_start = std::chrono::steady_clock::now();
       std::shared_ptr<const algorithms::FrontReport> cached =
-          cache_.find(group.hash, admitted[member]->full_key);
+          cache_.find(group.hash, admitted(member).full_key);
       member_spans.cache_probe_seconds = elapsed_seconds(member_probe_start);
       metrics_.cache_probe.record(member_spans.cache_probe_seconds);
       staged[member] =
-          make_reply(*admitted[member], cached ? *cached : *report, true, member_spans);
+          make_reply(admitted(member), cached ? *cached : *report, true, member_spans);
     }
   });
 
@@ -396,12 +404,8 @@ void Broker::shed_overflow_locked() {
     // the newest arrival — the work whose loss costs the least.
     const auto victim = std::min_element(
         queue_.begin(), queue_.end(), [](const Ticket& a, const Ticket& b) {
-          if (a.request.priority != b.request.priority) {
-            return a.request.priority < b.request.priority;
-          }
-          if (a.request.deadline != b.request.deadline) {
-            return a.request.deadline > b.request.deadline;
-          }
+          if (a.knobs.priority != b.knobs.priority) return a.knobs.priority < b.knobs.priority;
+          if (a.knobs.deadline != b.knobs.deadline) return a.knobs.deadline > b.knobs.deadline;
           return a.id > b.id;
         });
     metrics_.shed_total.add(1);
@@ -416,14 +420,15 @@ void Broker::shed_overflow_locked() {
   queue_cv_.notify_all();
 }
 
-std::uint64_t Broker::submit(SolveRequest request) {
+std::uint64_t Broker::submit(const SolveRequest& request) {
+  Ticket ticket = make_ticket(request);
   std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::uint64_t id = next_ticket_++;
+  const std::uint64_t id = ticket.id = next_ticket_++;
   if (shutting_down()) {
     resolve_ticket_locked(id, shutting_down_error());
     return id;
   }
-  queue_.push_back(Ticket{id, std::move(request), std::chrono::steady_clock::now()});
+  queue_.push_back(std::move(ticket));
   shed_overflow_locked();
   return id;
 }
@@ -433,18 +438,14 @@ std::size_t Broker::pending() const {
   return queue_.size();
 }
 
-std::vector<Broker::Drained> Broker::solve_tickets(std::vector<Ticket> batch) {
+std::vector<Broker::Drained> Broker::solve_tickets(const std::vector<Ticket>& batch) {
   const auto drained_at = std::chrono::steady_clock::now();
-  std::vector<SolveRequest> requests;
   std::vector<double> queue_waits;
-  requests.reserve(batch.size());
   queue_waits.reserve(batch.size());
-  for (Ticket& ticket : batch) {
-    requests.push_back(std::move(ticket.request));
-    queue_waits.push_back(
-        std::chrono::duration<double>(drained_at - ticket.submitted).count());
+  for (const Ticket& ticket : batch) {
+    queue_waits.push_back(std::chrono::duration<double>(drained_at - ticket.submitted).count());
   }
-  std::vector<util::Expected<Reply>> replies = solve_batch_timed(requests, queue_waits);
+  std::vector<util::Expected<Reply>> replies = dispatch(batch, queue_waits);
   std::vector<Drained> drained;
   drained.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -459,7 +460,7 @@ std::vector<Broker::Drained> Broker::drain() {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     batch.swap(queue_);
   }
-  std::vector<Drained> solved = solve_tickets(std::move(batch));
+  std::vector<Drained> solved = solve_tickets(batch);
   std::vector<Drained> drained;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -485,11 +486,12 @@ std::vector<Broker::Drained> Broker::drain() {
 }
 
 util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
+  Ticket ticket = make_ticket(request);
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (shutting_down()) return shutting_down_error();
-  const std::uint64_t id = next_ticket_++;
+  const std::uint64_t id = ticket.id = next_ticket_++;
   waiter_ids_.insert(id);
-  queue_.push_back(Ticket{id, request, std::chrono::steady_clock::now()});
+  queue_.push_back(std::move(ticket));
   shed_overflow_locked();  // may shed this very ticket: the loop below sees it
   while (true) {
     const auto ready = waiter_results_.find(id);
@@ -500,13 +502,14 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
       return reply;
     }
     if (!draining_ && !queue_.empty()) {
-      // Become the drainer: solve the whole queue segment — our ticket and
-      // every concurrent session's — as one deduped, priority-ordered batch.
+      // Become the drainer: dispatch the whole queue segment — our ticket
+      // and every concurrent session's, all admitted already — as one
+      // deduped, priority-ordered batch.
       draining_ = true;
       std::vector<Ticket> batch;
       batch.swap(queue_);
       lock.unlock();
-      std::vector<Drained> solved = solve_tickets(std::move(batch));
+      std::vector<Drained> solved = solve_tickets(batch);
       lock.lock();
       for (Drained& d : solved) resolve_ticket_locked(d.id, std::move(d.reply));
       draining_ = false;

@@ -66,11 +66,15 @@
 ///   - **Graceful drain**: after `begin_shutdown()`, new work is refused
 ///     with "shutting-down" while already-queued tickets keep draining.
 ///
+/// Every entry point runs steps 1-2 (admission, canonicalization, full cache
+/// key) on the caller's thread and hands the outcome to one dispatch core,
+/// which enforces the deadline, groups, orders and runs steps 3-5.
 /// `solve_batched` is the concurrent serving entry point: each session
-/// submits into the shared queue and blocks for its own reply; one session
-/// drains the batch for everyone (waiter/drainer), so concurrent tenants
-/// coalesce into the same dedup + priority dispatch a single `solve_batch`
-/// call gets.
+/// admits its request, submits the outcome into the shared queue and blocks
+/// for its own reply; one session drains the batch for everyone
+/// (waiter/drainer), so concurrent tenants coalesce into the same dedup +
+/// priority dispatch a single `solve_batch` call gets, while admission runs
+/// in parallel on the sessions' own threads.
 
 #include <atomic>
 #include <chrono>
@@ -131,17 +135,19 @@ class Broker {
       std::span<const SolveRequest> requests);
 
   /// Serves one request through the shared submit/drain queue, blocking
-  /// until its reply is ready. Concurrent callers coalesce: one caller
-  /// drains the batch for everyone (dedup and priority dispatch apply
-  /// *across* callers), the others wait on their tickets. This is the
-  /// concurrent TCP front's entry point. Shed / shutdown outcomes surface
-  /// as "overloaded" / "shutting-down" errors.
+  /// until its reply is ready. Each caller admits its own request before it
+  /// queues; concurrent callers then coalesce: one caller dispatches the
+  /// batch for everyone (dedup and priority dispatch apply *across*
+  /// callers), the others wait on their tickets. This is the concurrent TCP
+  /// front's entry point. Shed / shutdown outcomes surface as "overloaded"
+  /// / "shutting-down" errors.
   [[nodiscard]] util::Expected<Reply> solve_batched(const SolveRequest& request);
 
-  /// Queues a request for the next `drain()`; returns its ticket id. After
-  /// `begin_shutdown()` the ticket resolves to a "shutting-down" error; a
-  /// submit that overflows the high watermark sheds (see BrokerOptions).
-  std::uint64_t submit(SolveRequest request);
+  /// Admits a request on the calling thread and queues the outcome for the
+  /// next `drain()`; returns its ticket id. After `begin_shutdown()` the
+  /// ticket resolves to a "shutting-down" error; a submit that overflows the
+  /// high watermark sheds (see BrokerOptions).
+  std::uint64_t submit(const SolveRequest& request);
 
   /// Number of submitted, not-yet-drained requests.
   [[nodiscard]] std::size_t pending() const;
@@ -172,6 +178,9 @@ class Broker {
   /// Aggregate observability: every counter/histogram the broker records
   /// (metrics.hpp). Live — reading does not reset anything.
   [[nodiscard]] const ServiceMetrics& metrics() const { return metrics_; }
+  /// The same registry for recording: the serving front (server.hpp) adds
+  /// its wire-layer `render`/`write` samples here.
+  [[nodiscard]] ServiceMetrics& metrics() { return metrics_; }
 
   /// One-line JSON document combining `metrics()` with the cache counters,
   /// journal counters and process uptime:
@@ -236,18 +245,31 @@ class Broker {
     double canonicalize_seconds = 0.0;
   };
 
+  /// One request on its way to dispatch: its admission outcome and the
+  /// knobs dispatch reads. The raw instance is not kept.
+  struct Ticket {
+    std::uint64_t id = 0;
+    SolveKnobs knobs;
+    util::Expected<Admitted> admitted;
+    std::chrono::steady_clock::time_point submitted;  ///< queued (admission done)
+  };
+
   [[nodiscard]] util::Expected<Admitted> admit(const SolveRequest& request) const;
+  /// Admits `request` on the calling thread; the ticket's id is 0 until the
+  /// caller queues it.
+  [[nodiscard]] Ticket make_ticket(const SolveRequest& request) const;
   [[nodiscard]] util::Expected<algorithms::FrontReport> solve_canonical(
-      const SolveRequest& request, const Admitted& admitted,
-      const util::CancelToken* cancel) const;
+      const SolveKnobs& knobs, const Admitted& admitted, const util::CancelToken* cancel) const;
   [[nodiscard]] Reply make_reply(const Admitted& admitted, const algorithms::FrontReport& report,
                                  bool cache_hit, TraceSpans spans) const;
-  /// Shared batch path; `queue_waits` (empty, or one value per request)
-  /// carries the submit -> drain delay of queued requests into spans and
-  /// metrics, and is what dequeue-time deadline enforcement measures
+  /// The one dispatch path behind every entry point: dequeue-time deadline
+  /// check, admission outcome, dedup grouping, priority order, then solve
+  /// or cache probe per group. `queue_waits` (empty for direct calls, else
+  /// one value per ticket) carries the queued -> dispatch delay into spans
+  /// and metrics, and is what dequeue-time deadline enforcement measures
   /// budgets against.
-  [[nodiscard]] std::vector<util::Expected<Reply>> solve_batch_timed(
-      std::span<const SolveRequest> requests, std::span<const double> queue_waits);
+  [[nodiscard]] std::vector<util::Expected<Reply>> dispatch(std::span<const Ticket> tickets,
+                                                            std::span<const double> queue_waits);
 
   /// Appends a freshly solved entry to the journal, if one is attached.
   /// Append failures are absorbed (the reply already exists and the
@@ -268,14 +290,8 @@ class Broker {
   mutable std::mutex journal_mutex_;
   std::unique_ptr<Journal> journal_;
 
-  struct Ticket {
-    std::uint64_t id = 0;
-    SolveRequest request;
-    std::chrono::steady_clock::time_point submitted;
-  };
-
   /// Solves a swapped-out queue segment; caller routes the results.
-  [[nodiscard]] std::vector<Drained> solve_tickets(std::vector<Ticket> batch);
+  [[nodiscard]] std::vector<Drained> solve_tickets(const std::vector<Ticket>& batch);
   /// Sheds down to the low watermark; requires `queue_mutex_` held.
   void shed_overflow_locked();
   /// Resolves a ticket without solving (shed / shutdown); requires

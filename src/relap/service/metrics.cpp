@@ -1,17 +1,14 @@
 #include "relap/service/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
+
+#include "relap/util/strings.hpp"
 
 namespace relap::service {
 
 namespace {
 
-std::string json_number(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
+std::string json_number(double value) { return util::format_general(value, 17); }
 
 void append_counter(std::string& out, const char* name, const Counter& counter, bool& first) {
   if (!first) out += ',';
@@ -112,6 +109,8 @@ std::string ServiceMetrics::to_json() const {
   append_histogram(out, "solve", solve, first);
   append_histogram(out, "denormalize", denormalize, first);
   append_histogram(out, "request", request, first);
+  append_histogram(out, "render", render, first);
+  append_histogram(out, "write", write, first);
   out += "}}";
   return out;
 }

@@ -18,7 +18,7 @@
 /// Fixed buckets (rather than adaptive ones) keep `record()` branch-free
 /// cheap and make exported histograms comparable across runs and hosts.
 ///
-/// The per-request view of the same spans (queue wait, canonicalize, cache
+/// The per-request view of the broker spans (queue wait, canonicalize, cache
 /// probe, solve, denormalize) travels in `Reply::spans` — see request.hpp.
 
 #include <array>
@@ -121,6 +121,10 @@ struct ServiceMetrics {
   LatencyHistogram solve;         ///< solver dispatch (misses only)
   LatencyHistogram denormalize;   ///< reply construction
   LatencyHistogram request;       ///< whole per-request pipeline
+  /// Wire layer (service/server.hpp), aggregate only: the `trace` line is
+  /// written before the reply body, so no reply can carry these two.
+  LatencyHistogram render;  ///< solve reply text assembly in the session
+  LatencyHistogram write;   ///< one response's socket send on the TCP front
 
   /// JSON object with the counters and histograms above (no cache section).
   [[nodiscard]] std::string to_json() const;

@@ -1,9 +1,8 @@
 #include "relap/service/request.hpp"
 
-#include <cstdio>
-
 #include "relap/util/assert.hpp"
 #include "relap/util/hash.hpp"
+#include "relap/util/strings.hpp"
 
 namespace relap::service {
 
@@ -74,9 +73,7 @@ InstanceData InstanceData::scaled(double work_factor, double data_factor,
 
 std::string TraceSpans::to_json() const {
   const auto field = [](const char* name, double seconds) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "\"%s\":%.17g", name, seconds);
-    return std::string(buffer);
+    return '"' + std::string(name) + "\":" + util::format_general(seconds, 17);
   };
   return '{' + field("queue_wait_s", queue_wait_seconds) + ',' +
          field("canonicalize_s", canonicalize_seconds) + ',' +

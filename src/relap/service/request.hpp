@@ -95,20 +95,21 @@ enum class Objective {
 
 [[nodiscard]] std::string to_string(Objective objective);
 
-/// One unit of work for the broker.
-struct SolveRequest {
-  InstanceData instance;
+/// Everything a request asks for besides its instance. Admission reads the
+/// instance once; from then on the broker carries only these knobs.
+struct SolveKnobs {
   Objective objective = Objective::MinFpForLatency;
   /// Latency cap (caller units) or FP cap, per the objective.
   double threshold = 0.0;
   /// Scheduling priority: higher values are dispatched earlier in a batch.
   int priority = 0;
-  /// Wall-clock budget in **seconds**, measured from `submit()` (or from
-  /// dispatch for a direct `solve`). Besides ordering requests within a
+  /// Wall-clock budget in **seconds**, measured from the moment the request
+  /// enters the queue, right after its admission on the caller's thread (or
+  /// from dispatch for a direct `solve`). Besides ordering requests within a
   /// priority level (tighter first), the deadline is enforced: a request
   /// whose budget is already spent when its batch dispatches is rejected
   /// with code "deadline-exceeded" (deadline 0 deterministically expires),
-  /// and a running solve is cooperatively cancelled once the tightest
+  /// and a running solve is cooperatively cancelled once the loosest
   /// deadline in its dedup group passes. Cancellation never alters a result:
   /// a cancelled solve is an error and its partial work is discarded, so
   /// every *completed* reply keeps the bit-identical determinism contract.
@@ -124,6 +125,11 @@ struct SolveRequest {
   std::uint64_t max_evaluations = 2'000'000;
   /// Threshold count for heuristic ParetoFront sweeps (>= 2).
   std::size_t pareto_thresholds = 24;
+};
+
+/// One unit of work for the broker.
+struct SolveRequest : SolveKnobs {
+  InstanceData instance;
 };
 
 /// Wall-clock breakdown of one request's trip through the broker — the

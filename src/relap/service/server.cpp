@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <chrono>
 #include <cstring>
 #include <istream>
 #include <mutex>
@@ -58,10 +58,8 @@ std::string token_safe(std::string_view text) {
   return out;
 }
 
-std::string format_ms(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.3f", seconds * 1e3);
-  return buffer;
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 }  // namespace
@@ -352,6 +350,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
     return;
   }
 
+  const auto render_start = std::chrono::steady_clock::now();
   out += "ok solve name=";
   out += tokens.front();
   out += reply->cache_hit ? " cache=hit" : " cache=miss";
@@ -363,7 +362,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   out += " points=" + std::to_string(reply->front.size());
   out += " front=" + util::Fnv1a(front_checksum(reply->front)).hex();
   out += " canonical=" + util::Fnv1a(reply->canonical_hash).hex();
-  out += " solve_ms=" + format_ms(reply->solve_seconds);
+  out += " solve_ms=" + util::format_fixed(reply->solve_seconds * 1e3, 3);
   out += '\n';
   out += "trace ";
   out += reply->spans.to_json();
@@ -377,6 +376,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
     out += '\n';
   }
   out += "done\n";
+  broker_.metrics().render.record(seconds_since(render_start));
 }
 
 void Session::handle_snapshot(std::string_view args, std::string& out) {
@@ -493,6 +493,16 @@ bool send_all(int fd, std::string_view bytes, int write_timeout_ms) {
   return true;
 }
 
+/// `send_all` of one session response, timed into the broker's `write`
+/// histogram (lines that answer nothing send nothing and are not timed).
+bool write_response(Broker& broker, int fd, std::string_view response, int write_timeout_ms) {
+  if (response.empty()) return true;
+  const auto start = std::chrono::steady_clock::now();
+  const bool sent = send_all(fd, response, write_timeout_ms);
+  broker.metrics().write.record(seconds_since(start));
+  return sent;
+}
+
 }  // namespace
 
 void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& options) {
@@ -545,7 +555,7 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);  // telnet friendliness
       response.clear();
       alive = session.handle_line(line, response);
-      if (!send_all(conn, response, options.write_timeout_ms)) alive = false;
+      if (!write_response(broker, conn, response, options.write_timeout_ms)) alive = false;
       start = newline + 1;
     }
     pending.erase(0, start);
@@ -555,7 +565,7 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
   if (alive && !peer_gone && !stop_requested() && !pending.empty()) {
     response.clear();
     (void)session.handle_line(pending, response);
-    (void)send_all(conn, response, options.write_timeout_ms);
+    (void)write_response(broker, conn, response, options.write_timeout_ms);
   }
   ::close(conn);
   if (session.shutdown_requested()) {

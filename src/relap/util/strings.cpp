@@ -1,7 +1,7 @@
 #include "relap/util/strings.hpp"
 
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 
 namespace relap::util {
 
@@ -60,31 +60,51 @@ std::optional<std::size_t> parse_size(std::string_view token) {
 }
 
 std::string format_fixed(double value, int decimals) {
+  // Widest `%.*f` text: sign, 309 integer digits, point, decimals (a
+  // negative count means printf's default of 6).
+  std::string out(311 + static_cast<std::size_t>(decimals < 0 ? 6 : decimals), '\0');
+  char* end =
+      std::to_chars(out.data(), out.data() + out.size(), value, std::chars_format::fixed, decimals)
+          .ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  return out;
+}
+
+std::string format_general(double value, int precision) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
+  char* end =
+      std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, precision)
+          .ptr;
+  return std::string(buffer, end);
 }
 
 std::string format_double(double value) {
-  // Small integers print as integers ("100", not "1e+02"): instance files
-  // and describe() strings are read by humans first.
-  if (value == static_cast<double>(static_cast<long long>(value)) && value > -1e15 &&
-      value < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(value));
-    return buffer;
+  // Integers of magnitude below 1e15 print as integers ("100", not
+  // "1e+02"): instance files and describe() strings are read by humans
+  // first. The range check comes before the cast, which is undefined for
+  // inf, NaN and |x| >= 2^63.
+  if (value > -1e15 && value < 1e15 && value == std::trunc(value)) {
+    if (value == 0.0 && std::signbit(value)) return "-0";
+    char buffer[24];
+    char* end = std::to_chars(buffer, buffer + sizeof buffer, static_cast<long long>(value)).ptr;
+    return std::string(buffer, end);
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+  char buffer[32];
+  char* const last = buffer + sizeof buffer;
+  if (!std::isfinite(value)) return std::string(buffer, std::to_chars(buffer, last, value).ptr);
+  // `%.{p}g` with the smallest p that round-trips: p starts at the digit
+  // count of the shortest round-trip form; a correctly rounded p-digit
+  // string can still miss the round-trip interval next to a power of two,
+  // so one parse confirms it and p grows in that rare case.
+  char* end = std::to_chars(buffer, last, value, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buffer; c != end && *c != 'e'; ++c) precision += *c >= '0' && *c <= '9';
+  for (;; ++precision) {
+    end = std::to_chars(buffer, last, value, std::chars_format::general, precision).ptr;
     double reparsed = 0.0;
-    std::sscanf(shorter, "%lf", &reparsed);
-    if (reparsed == value) return shorter;
+    std::from_chars(buffer, end, reparsed);
+    if (reparsed == value || precision >= 17) return std::string(buffer, end);
   }
-  return buffer;
 }
 
 std::string join(const std::vector<std::string>& tokens, std::string_view sep) {

@@ -25,10 +25,17 @@ namespace relap::util {
 /// Strict non-negative integer parser.
 [[nodiscard]] std::optional<std::size_t> parse_size(std::string_view token);
 
-/// Fixed-notation formatting with the given number of decimals.
+/// Fixed-notation formatting with the given number of decimals: the text of
+/// printf's `%.{decimals}f`.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 
-/// Shortest round-trip-ish representation used in instance files.
+/// `%.{precision}g` text, for precision <= 17 (17 round-trips every double).
+[[nodiscard]] std::string format_general(double value, int precision);
+
+/// Shortest text that parses back to the same bits: integers of magnitude
+/// below 1e15 as integers (`100`, `-0`), anything else as `%.{p}g` with the
+/// smallest such p (`0.1`, `1e-09`, `0.30000000000000004`), and
+/// `inf`/`-inf`/`nan`. Used in instance files and on the wire.
 [[nodiscard]] std::string format_double(double value);
 
 /// Joins tokens with a separator.

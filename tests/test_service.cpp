@@ -471,6 +471,75 @@ TEST(Broker, QueuedDeadlineEnforcedAtDequeue) {
   EXPECT_TRUE(drained[1].reply.has_value());
 }
 
+TEST(Broker, SpentDeadlineOutranksAdmissionErrorOnEveryEntryPoint) {
+  // Admission runs on the caller's thread before the ticket is queued, but
+  // the dequeue-time deadline check still answers first: an oversized
+  // request with no budget left is "deadline-exceeded", and its admission
+  // outcome is never counted.
+  BrokerOptions options;
+  options.max_stages = 2;
+  Broker broker(options);
+  SolveRequest request = valid_request();  // 3 stages: oversized here
+  request.deadline = 0.0;
+
+  const auto batched = broker.solve_batched(request);
+  ASSERT_FALSE(batched.has_value());
+  EXPECT_EQ(batched.error().code, "deadline-exceeded");
+
+  const std::uint64_t id = broker.submit(request);
+  const auto drained = broker.drain();
+  ASSERT_EQ(drained.size(), 1U);
+  EXPECT_EQ(drained[0].id, id);
+  ASSERT_FALSE(drained[0].reply.has_value());
+  EXPECT_EQ(drained[0].reply.error().code, "deadline-exceeded");
+
+  expect_error(broker, request, "deadline-exceeded");
+
+  EXPECT_EQ(broker.metrics().deadline_exceeded_total.value(), 3U);
+  EXPECT_EQ(broker.metrics().rejected_total.value(), 0U);
+  EXPECT_EQ(broker.metrics().canonicalize.count(), 0U);
+
+  // With budget left, the same request reports its admission error.
+  request.deadline = kInf;
+  const auto oversized = broker.solve_batched(request);
+  ASSERT_FALSE(oversized.has_value());
+  EXPECT_EQ(oversized.error().code, "oversized");
+  EXPECT_EQ(broker.metrics().rejected_total.value(), 1U);
+  EXPECT_EQ(broker.metrics().canonicalize.count(), 0U);
+}
+
+TEST(Broker, ShedTicketsLeaveAdmissionMetricsUntouched) {
+  BrokerOptions options;
+  options.queue_high_watermark = 2;
+  options.queue_low_watermark = 1;
+  Broker broker(options);
+
+  SolveRequest malformed = valid_request();
+  malformed.max_evaluations = 0;
+  const std::uint64_t shed_malformed = broker.submit(malformed);
+  const std::uint64_t shed_valid = broker.submit(valid_request());
+  SolveRequest urgent = valid_request();
+  urgent.priority = 5;
+  const std::uint64_t kept = broker.submit(urgent);
+  EXPECT_EQ(broker.pending(), 1U);
+  EXPECT_EQ(broker.metrics().shed_total.value(), 2U);
+
+  const auto drained = broker.drain();
+  ASSERT_EQ(drained.size(), 3U);
+  EXPECT_EQ(drained[0].id, shed_malformed);
+  EXPECT_EQ(drained[1].id, shed_valid);
+  EXPECT_EQ(drained[2].id, kept);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_FALSE(drained[i].reply.has_value());
+    EXPECT_EQ(drained[i].reply.error().code, "overloaded");
+  }
+  EXPECT_TRUE(drained[2].reply.has_value());
+  // Only the dispatched ticket is counted: the shed malformed one was
+  // admitted (and refused) on its caller's thread, but never dispatched.
+  EXPECT_EQ(broker.metrics().rejected_total.value(), 0U);
+  EXPECT_EQ(broker.metrics().canonicalize.count(), 1U);
+}
+
 TEST(Broker, WatermarkSheddingDropsLowestPriorityFirst) {
   BrokerOptions options;
   options.queue_high_watermark = 4;

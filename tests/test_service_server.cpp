@@ -139,6 +139,20 @@ TEST(Server, ScriptedSessionEndToEnd) {
   EXPECT_FALSE(session.shutdown_requested());
 }
 
+TEST(Server, SolveRepliesFeedTheRenderHistogram) {
+  Broker broker;
+  Session session(broker);
+  upload(session, "job", 5);
+  ASSERT_NE(feed(session, "solve job obj=pareto").find("done\n"), std::string::npos);
+  EXPECT_TRUE(is_err(feed(session, "solve job obj=nope"), "protocol"));
+  EXPECT_EQ(broker.metrics().render.count(), 1U);  // errors render no reply
+  EXPECT_EQ(broker.metrics().write.count(), 0U);   // no socket on a bare session
+
+  const std::string stats = feed(session, "stats");
+  EXPECT_NE(stats.find("\"render\":{\"count\":1,"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"write\":{\"count\":0,"), std::string::npos) << stats;
+}
+
 TEST(Server, ObjectiveAndMethodKnobs) {
   Broker broker;
   Session session(broker);
@@ -378,6 +392,12 @@ TEST(Server, TcpLoopbackServesSessionsUntilShutdown) {
 
   accept_thread.join();
   EXPECT_EQ(sessions, 2U);
+
+  // Wire-layer histograms: one render per solve reply, one timed write per
+  // non-empty response (pong, instance, solve, bye; instance, solve,
+  // shutdown). Block lines answer nothing and send nothing.
+  EXPECT_EQ(broker.metrics().render.count(), 2U);
+  EXPECT_EQ(broker.metrics().write.count(), 7U);
 }
 
 // --- Concurrent serving. ------------------------------------------------------
