@@ -307,12 +307,13 @@ util::Expected<ParetoOutcome> exhaustive_pareto(const pipeline::Pipeline& pipeli
   const std::size_t m = platform.processor_count();
   const CandidateSpace space = build_candidate_space(n, m, std::min({n, m, options.max_intervals}));
   CandidateCursor cursor(space);
-  mapping::EvalScratch scratch(n, m);
+  mapping::LaneEvalBatch<1> staging(n, m);
   for (const util::ParetoPoint& point : acc.front.points()) {
     cursor.seek(point.payload);
-    scratch.set_composition(pipeline, cursor.lengths());
-    scratch.set_grouping(cursor.group_of(), cursor.group_sizes());
-    outcome.front.push_back(ParetoSolution{point.x, point.y, mapping::materialize(scratch.view())});
+    staging.set_composition(pipeline, cursor.lengths());
+    staging.push_grouping(cursor.group_of(), cursor.group_sizes());
+    outcome.front.push_back(ParetoSolution{point.x, point.y, mapping::materialize(staging.view(0))});
+    staging.clear();
   }
   return outcome;
 }

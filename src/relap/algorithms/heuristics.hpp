@@ -41,14 +41,13 @@ class ThreadPool;
 namespace relap::algorithms {
 
 struct HeuristicOptions {
-  std::uint64_t seed = 0x9E3779B97F4A7C15ULL;
   /// Beam width: states kept per boundary (Pareto-pruned first).
   std::size_t beam_width = 64;
   /// Replica-group sizes tried per interval go up to this cap.
   std::size_t max_replication = 16;
   /// Pool for the beam's parallel candidate evaluation; null uses
   /// `exec::ThreadPool::shared()`. Surviving final states are evaluated in
-  /// fixed-size chunks (per-chunk `EvalScratch`) and fed to the sink
+  /// fixed-size chunks (a `LaneEvalBatch` per chunk) and fed to the sink
   /// serially in state-index order, so candidates, ties and results are
   /// identical at any thread count.
   exec::ThreadPool* pool = nullptr;

@@ -1,13 +1,9 @@
 #include "relap/algorithms/local_search.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#include "relap/exec/parallel.hpp"
-#include "relap/util/assert.hpp"
 
 namespace relap::algorithms {
 
@@ -118,27 +114,6 @@ Solution descend(const pipeline::Pipeline& pipeline, const platform::Platform& p
   return best;
 }
 
-/// Descends every start concurrently, then picks the winner in start order.
-Solution multi_start_descend(const pipeline::Pipeline& pipeline,
-                             const platform::Platform& platform, std::vector<Solution> starts,
-                             double cap, const LocalSearchOptions& options,
-                             bool (*better)(const Solution&, const Solution&, double)) {
-  RELAP_ASSERT(!starts.empty(), "multi-start local search needs at least one start");
-  std::vector<std::optional<Solution>> outcomes(starts.size());
-  exec::parallel_for(
-      starts.size(), 1,
-      [&](std::size_t i) {
-        outcomes[i] = descend(pipeline, platform, std::move(starts[i]), cap, options, better);
-      },
-      options.pool);
-
-  Solution best = *std::move(outcomes[0]);
-  for (std::size_t i = 1; i < outcomes.size(); ++i) {
-    if (better(*outcomes[i], best, cap)) best = *std::move(outcomes[i]);
-  }
-  return best;
-}
-
 }  // namespace
 
 Solution local_search_min_fp(const pipeline::Pipeline& pipeline,
@@ -153,23 +128,6 @@ Solution local_search_min_latency(const pipeline::Pipeline& pipeline,
                                   const LocalSearchOptions& options) {
   return descend(pipeline, platform, std::move(start), max_failure_probability, options,
                  &better_min_latency);
-}
-
-Solution multi_start_local_search_min_fp(const pipeline::Pipeline& pipeline,
-                                         const platform::Platform& platform,
-                                         std::vector<Solution> starts, double max_latency,
-                                         const LocalSearchOptions& options) {
-  return multi_start_descend(pipeline, platform, std::move(starts), max_latency, options,
-                             &better_min_fp);
-}
-
-Solution multi_start_local_search_min_latency(const pipeline::Pipeline& pipeline,
-                                              const platform::Platform& platform,
-                                              std::vector<Solution> starts,
-                                              double max_failure_probability,
-                                              const LocalSearchOptions& options) {
-  return multi_start_descend(pipeline, platform, std::move(starts), max_failure_probability,
-                             options, &better_min_latency);
 }
 
 }  // namespace relap::algorithms

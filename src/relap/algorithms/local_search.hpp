@@ -16,26 +16,15 @@
 /// The search takes the best improving neighbor per round (steepest
 /// descent) under the constrained comparator from types.hpp and stops at a
 /// local optimum or the iteration cap. Fully deterministic: the neighborhood
-/// is scanned in a fixed order (randomized exploration lives in
-/// annealing.hpp instead).
-
-#include <vector>
+/// is scanned in a fixed order, on the calling thread.
 
 #include "relap/algorithms/types.hpp"
-
-namespace relap::exec {
-class ThreadPool;
-}  // namespace relap::exec
 
 namespace relap::algorithms {
 
 struct LocalSearchOptions {
   /// Maximum descent rounds; each round scans the whole neighborhood.
   std::size_t max_rounds = 200;
-  /// Pool for the multi-start drivers; null uses
-  /// `exec::ThreadPool::shared()`. Single-start descent is deterministic and
-  /// runs on the calling thread regardless.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Minimizes FP subject to latency <= `max_latency`, starting from `start`.
@@ -51,21 +40,5 @@ struct LocalSearchOptions {
                                                 const platform::Platform& platform, Solution start,
                                                 double max_failure_probability,
                                                 const LocalSearchOptions& options = {});
-
-/// Multi-start steepest descent: descends every start concurrently on the
-/// options' pool and returns the best local optimum under the constrained
-/// comparator, picking in start order (the earliest start wins ties) so the
-/// result is identical at any thread count. Precondition: `starts` non-empty.
-[[nodiscard]] Solution multi_start_local_search_min_fp(const pipeline::Pipeline& pipeline,
-                                                       const platform::Platform& platform,
-                                                       std::vector<Solution> starts,
-                                                       double max_latency,
-                                                       const LocalSearchOptions& options = {});
-
-/// Multi-start counterpart of `local_search_min_latency`.
-[[nodiscard]] Solution multi_start_local_search_min_latency(
-    const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    std::vector<Solution> starts, double max_failure_probability,
-    const LocalSearchOptions& options = {});
 
 }  // namespace relap::algorithms

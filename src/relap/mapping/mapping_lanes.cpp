@@ -87,8 +87,9 @@ void LaneEvalBatch<W>::push_grouping(std::span<const std::size_t> group_of,
   ++slot_refs_[active_slot_];
 
   // Counting-sort the enumeration word into the contiguous per-lane row
-  // (backing `view`) and the lane-major proc columns in one pass (ascending
-  // within each group, exactly as `EvalScratch::set_grouping`).
+  // (backing `view`) and the lane-major proc columns in one pass; iterating
+  // u ascending keeps every group ascending, matching IntervalMapping's
+  // canonical sorted form.
   std::size_t* go = group_offsets_l_.data() + lane * (pcap_ + 1);
   std::size_t total = 0;
   for (std::size_t g = 0; g < p; ++g) {
@@ -233,7 +234,7 @@ void LaneEvalBatch<W>::evaluate(const platform::Platform& platform,
     }
   }
 
-  // --- latency: the lane transcription of latency_eq1_view / latency_eq2_view.
+  // --- latency: the lane transcription of latency_eq1 / latency_eq2.
   D latency;
   if (platform.has_homogeneous_links()) {
     const D inv_b = simd::broadcast<W>(platform.inv_common_bandwidth());
@@ -330,7 +331,7 @@ void LaneEvalBatch<W>::evaluate(const platform::Platform& platform,
     latency = total.value();
   }
 
-  // --- failure probability: lane transcription of failure_probability_view.
+  // --- failure probability: lane transcription of failure_probability.
   const double* fps = platform.failure_probs().data();
   const D one = simd::broadcast<W>(1.0);
   D survival = one;

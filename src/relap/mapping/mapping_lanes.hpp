@@ -1,21 +1,24 @@
 #pragma once
 
 /// \file mapping_lanes.hpp
-/// Lane-batched candidate evaluation: `evaluate_view`'s SIMD counterpart.
+/// Lane-batched candidate evaluation: the one evaluator every enumerator
+/// and the beam's final scoring run on.
 ///
 /// `LaneEvalBatch<W>` evaluates up to `W` interval mappings at once, one per
 /// SIMD lane, on top of preallocated lane-major SoA staging buffers (group
-/// sums, replica ids, boundary-transfer terms). The scalar evaluators in
-/// mapping_view.cpp remain the bit-exactness oracle: every lane applies the
-/// exact per-candidate operation sequence of the scalar kernel — the same
-/// `KahanSum` adds in the same order, compensated summation kept per lane
-/// and never interleaved across lanes — so lane l's `ViewEval` is
-/// bit-identical to `evaluate_view` on the same mapping, for every `W` and
-/// every ISA (see util/simd.hpp for the contract). Lanes whose structure is
-/// shorter than the widest lane in the batch are masked: rejected lanes'
-/// accumulators (Kahan sum *and* compensation) pass through `select`
-/// untouched, garbage values computed under a false mask are discarded, and
-/// stale staging ids stay in bounds so gathers never fault.
+/// sums, replica ids, boundary-transfer terms). The scalar evaluators
+/// `latency()` (Eq. (1)/(2), mapping/latency.hpp) and
+/// `failure_probability()` (mapping/reliability.hpp) are the bit-exactness
+/// oracle: every lane applies the exact per-candidate operation sequence of
+/// the scalar code — the same `KahanSum` adds in the same order, compensated
+/// summation kept per lane and never interleaved across lanes — so lane l's
+/// `ViewEval` is bit-identical to the scalar evaluators on
+/// `materialize(view(l))`, for every `W` and every ISA (see util/simd.hpp
+/// for the contract). Lanes whose structure is shorter than the widest lane
+/// in the batch are masked: rejected lanes' accumulators (Kahan sum *and*
+/// compensation) pass through `select` untouched, garbage values computed
+/// under a false mask are discarded, and stale staging ids stay in bounds
+/// so gathers never fault.
 ///
 /// Two staging modes:
 ///  * enumeration: `set_composition` once per composition, then
@@ -69,13 +72,15 @@ class LaneEvalBatch {
   void set_composition(const pipeline::Pipeline& pipeline, std::span<const std::size_t> lengths);
 
   /// Stages one candidate of the current shared composition into the next
-  /// free lane (enumeration word form, as `EvalScratch::set_grouping`).
-  /// Precondition: `!full()` and `set_composition` was called.
+  /// free lane, from an enumeration word: `group_of[u]` is the group of
+  /// processor u (or the group count for unused), `group_sizes` the
+  /// per-group occupancy. Precondition: `!full()` and `set_composition`
+  /// was called with a matching group count.
   void push_grouping(std::span<const std::size_t> group_of,
                      std::span<const std::size_t> group_sizes);
 
   /// Stages one candidate from explicit interval assignments (the
-  /// heuristics' representation, as `EvalScratch::set_intervals`).
+  /// heuristics' representation).
   /// Precondition: `!full()`; groups sorted ascending (canonical form).
   void push_intervals(const pipeline::Pipeline& pipeline,
                       std::span<const IntervalAssignment> intervals);
@@ -88,7 +93,8 @@ class LaneEvalBatch {
   void clear();
 
   /// Evaluates all staged lanes; writes `out[l]` for l in [0, size()).
-  /// Each result is bit-identical to `evaluate_view` on `view(l)`.
+  /// Each result is bit-identical to `latency()`/`failure_probability()` on
+  /// `materialize(view(l))`.
   void evaluate(const platform::Platform& platform, std::span<ViewEval> out) const;
 
   /// Canonical per-lane view (for `materialize`, `period_view`,

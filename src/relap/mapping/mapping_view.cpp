@@ -1,171 +1,8 @@
 #include "relap/mapping/mapping_view.hpp"
 
 #include <algorithm>
-#include <limits>
-
-#include "relap/util/assert.hpp"
-#include "relap/util/stats.hpp"
 
 namespace relap::mapping {
-
-EvalScratch::EvalScratch(std::size_t stage_count, std::size_t processor_count) {
-  const std::size_t max_parts = std::min(stage_count, processor_count);
-  stage_offsets_.reserve(max_parts + 1);
-  processors_.reserve(processor_count);
-  group_offsets_.reserve(max_parts + 1);
-  cursor_.reserve(max_parts);
-  cache_.work.reserve(max_parts);
-  cache_.data_first.reserve(max_parts);
-  cache_.out_size.reserve(max_parts);
-}
-
-void EvalScratch::set_composition(const pipeline::Pipeline& pipeline,
-                                  std::span<const std::size_t> lengths) {
-  const std::size_t p = lengths.size();
-  RELAP_ASSERT(p >= 1, "composition needs at least one part");
-  stage_offsets_.resize(p + 1);
-  cache_.work.resize(p);
-  cache_.data_first.resize(p);
-  cache_.out_size.resize(p);
-  std::size_t next = 0;
-  for (std::size_t j = 0; j < p; ++j) {
-    stage_offsets_[j] = next;
-    next += lengths[j];
-    cache_.work[j] = pipeline.work_sum(stage_offsets_[j], next - 1);
-    cache_.data_first[j] = pipeline.data(stage_offsets_[j]);
-    cache_.out_size[j] = pipeline.data(next);
-  }
-  stage_offsets_[p] = next;
-  cache_.data_out = pipeline.data(pipeline.stage_count());
-  RELAP_ASSERT(next == pipeline.stage_count(), "composition does not cover the pipeline");
-}
-
-void EvalScratch::set_grouping(std::span<const std::size_t> group_of,
-                               std::span<const std::size_t> group_sizes) {
-  const std::size_t p = stage_offsets_.size() - 1;
-  RELAP_ASSERT(group_sizes.size() == p, "group count does not match the composition");
-  group_offsets_.resize(p + 1);
-  cursor_.resize(p);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < p; ++g) {
-    group_offsets_[g] = total;
-    cursor_[g] = total;
-    total += group_sizes[g];
-  }
-  group_offsets_[p] = total;
-  processors_.resize(total);
-  // Counting-sort the items into their groups; iterating u ascending keeps
-  // every group ascending, matching IntervalMapping's canonical sorted form.
-  const std::size_t m = group_of.size();
-  for (std::size_t u = 0; u < m; ++u) {
-    const std::size_t g = group_of[u];
-    if (g < p) processors_[cursor_[g]++] = static_cast<platform::ProcessorId>(u);
-  }
-}
-
-void EvalScratch::set_intervals(const pipeline::Pipeline& pipeline,
-                                std::span<const IntervalAssignment> intervals) {
-  const std::size_t p = intervals.size();
-  RELAP_ASSERT(p >= 1, "an interval mapping needs at least one interval");
-  stage_offsets_.resize(p + 1);
-  group_offsets_.resize(p + 1);
-  cache_.work.resize(p);
-  cache_.data_first.resize(p);
-  cache_.out_size.resize(p);
-  processors_.clear();
-  for (std::size_t j = 0; j < p; ++j) {
-    const IntervalAssignment& a = intervals[j];
-    stage_offsets_[j] = a.stages.first;
-    group_offsets_[j] = processors_.size();
-    for (std::size_t i = 0; i < a.processors.size(); ++i) {
-      RELAP_ASSERT(i == 0 || a.processors[i - 1] < a.processors[i],
-                   "interval groups must be sorted ascending (canonical form)");
-      processors_.push_back(a.processors[i]);
-    }
-    cache_.work[j] = pipeline.work_sum(a.stages.first, a.stages.last);
-    cache_.data_first[j] = pipeline.data(a.stages.first);
-    cache_.out_size[j] = pipeline.data(a.stages.last + 1);
-  }
-  stage_offsets_[p] = intervals.back().stages.last + 1;
-  group_offsets_[p] = processors_.size();
-  cache_.data_out = pipeline.data(pipeline.stage_count());
-}
-
-namespace {
-
-/// Equation (1) latency: identical links. Same term order as `latency_eq1`.
-double latency_eq1_view(const platform::Platform& platform, const MappingView& view,
-                        const CompositionCache& cache) {
-  const double inv_b = platform.inv_common_bandwidth();
-  util::KahanSum total;
-  const std::size_t p = view.interval_count();
-  for (std::size_t j = 0; j < p; ++j) {
-    const std::span<const platform::ProcessorId> group = view.group(j);
-    const double k = static_cast<double>(group.size());
-    total.add(k * cache.data_first[j] * inv_b);
-    double lo = std::numeric_limits<double>::infinity();
-    for (const platform::ProcessorId u : group) lo = std::min(lo, platform.speed(u));
-    total.add(cache.work[j] / lo);
-  }
-  total.add(cache.data_out * inv_b);
-  return total.value();
-}
-
-/// Equation (2) latency: heterogeneous links. Same term order as `latency_eq2`.
-double latency_eq2_view(const platform::Platform& platform, const MappingView& view,
-                        const CompositionCache& cache) {
-  util::KahanSum total;
-
-  // Serialized initial transfers: P_in sends delta_0 to every replica of the
-  // first interval (one-port model).
-  for (const platform::ProcessorId u : view.group(0)) {
-    total.add(cache.data_first[0] * platform.inv_bandwidth_in(u));
-  }
-
-  const std::size_t p = view.interval_count();
-  for (std::size_t j = 0; j < p; ++j) {
-    const double work = cache.work[j];
-    const double out_size = cache.out_size[j];
-    double worst = 0.0;
-    for (const platform::ProcessorId u : view.group(j)) {
-      double term = work * platform.inv_speed(u);
-      if (j + 1 < p) {
-        // Serialized sends to every replica of the next interval.
-        for (const platform::ProcessorId v : view.group(j + 1)) {
-          term += out_size * platform.inv_bandwidth(u, v);
-        }
-      } else {
-        term += out_size * platform.inv_bandwidth_out(u);
-      }
-      worst = std::max(worst, term);
-    }
-    total.add(worst);
-  }
-  return total.value();
-}
-
-/// Failure probability, same factor order as `failure_probability`.
-double failure_probability_view(const platform::Platform& platform, const MappingView& view) {
-  double survival = 1.0;
-  const std::size_t p = view.interval_count();
-  for (std::size_t j = 0; j < p; ++j) {
-    double product = 1.0;
-    for (const platform::ProcessorId u : view.group(j)) product *= platform.failure_prob(u);
-    survival *= 1.0 - product;
-  }
-  return 1.0 - survival;
-}
-
-}  // namespace
-
-ViewEval evaluate_view(const platform::Platform& platform, const MappingView& view,
-                       const CompositionCache& cache) {
-  ViewEval out;
-  out.latency = platform.has_homogeneous_links() ? latency_eq1_view(platform, view, cache)
-                                                 : latency_eq2_view(platform, view, cache);
-  out.failure_probability = failure_probability_view(platform, view);
-  return out;
-}
 
 double period_view(const platform::Platform& platform, const MappingView& view,
                    const CompositionCache& cache) {

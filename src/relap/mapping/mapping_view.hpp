@@ -1,47 +1,32 @@
 #pragma once
 
 /// \file mapping_view.hpp
-/// Zero-allocation batched evaluation kernel for interval mappings.
+/// Non-owning mapping descriptions shared by the candidate evaluators.
 ///
 /// The exact solvers evaluate exponentially many candidate mappings; building
 /// an owning `IntervalMapping` (a vector of vectors) per candidate dominates
-/// their runtime. This header provides the allocation-free alternative the
-/// enumerators run on:
+/// their runtime. The lane kernel (mapping_lanes.hpp, `LaneEvalBatch<W>`)
+/// stages candidates into its own preallocated buffers and hands each one
+/// back through these types:
 ///
 ///  * `MappingView` — a non-owning SoA description of an interval mapping:
-///    one flat processor array, group offsets, and stage offsets. Cheap to
-///    re-point at the next candidate; no per-candidate ownership.
+///    one flat processor array, group offsets, and stage offsets.
 ///  * `CompositionCache` — the latency terms that depend only on the *stage
 ///    partition* (work sums, boundary data sizes), computed once per
 ///    composition and reused across every replica-group assignment of that
 ///    composition. On an (n=6, m=7) instance one composition is shared by
 ///    tens of thousands of groupings.
-///  * `EvalScratch` — caller-owned buffers backing the view and the cache.
-///    All `set_*` methods reuse capacity; after warm-up the steady-state
-///    inner loop performs no heap allocation (pinned by a counting-allocator
-///    test).
-///  * `evaluate_view` / `period_view` — the evaluators. They follow the
-///    scalar evaluators' summation order term for term (same `KahanSum`
-///    adds, same loop nesting), so their results are bit-identical to
-///    `latency()` / `failure_probability()` / `period()` on the equivalent
-///    `IntervalMapping`. The determinism suite relies on this.
-///
-/// Typical enumerator loop:
-///
-///   EvalScratch scratch(n, m);
-///   scratch.set_composition(pipeline, lengths);     // once per composition
-///   for (each grouping) {
-///     scratch.set_grouping(group_of, group_sizes);  // no allocation
-///     const ViewEval e = evaluate_view(platform, scratch.view(), scratch.cache());
-///     if (keep(e)) best = materialize(scratch.view());  // allocation only here
-///   }
+///  * `ViewEval` — the two objectives the lane kernel computes.
+///  * `period_view` — the period filter of the tri-criteria solvers,
+///    bit-identical to `period()` on the equivalent `IntervalMapping`.
+///  * `materialize` — the owning mapping a view describes, built only for
+///    the rare candidates that enter a front or displace an incumbent.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 #include "relap/mapping/interval_mapping.hpp"
-#include "relap/pipeline/pipeline.hpp"
 #include "relap/platform/platform.hpp"
 
 namespace relap::mapping {
@@ -78,58 +63,12 @@ struct CompositionCache {
   double data_out = 0.0;           ///< delta_n: final output size
 };
 
-/// Both objectives of one candidate; the period, when a solver needs it, is
-/// computed separately via `period_view`.
+/// Both objectives of one candidate (`LaneEvalBatch::evaluate`); the period,
+/// when a solver needs it, is computed separately via `period_view`.
 struct ViewEval {
   double latency = 0.0;
   double failure_probability = 0.0;
 };
-
-/// Caller-owned, reusable backing storage for a `MappingView` and its
-/// `CompositionCache`. Construct once per worker (reserves for the instance
-/// size); the `set_*` methods never allocate after warm-up.
-class EvalScratch {
- public:
-  /// Reserves for pipelines up to `stage_count` stages on platforms up to
-  /// `processor_count` processors.
-  EvalScratch(std::size_t stage_count, std::size_t processor_count);
-
-  /// Installs the composition `lengths` (positive parts summing to the stage
-  /// count) and rebuilds the per-composition cache.
-  void set_composition(const pipeline::Pipeline& pipeline, std::span<const std::size_t> lengths);
-
-  /// Installs the replica groups from an enumeration word: `group_of[u]` is
-  /// the group of processor u (or `lengths.size()` for unused), `group_sizes`
-  /// the per-group occupancy. Group count must match the current composition.
-  void set_grouping(std::span<const std::size_t> group_of,
-                    std::span<const std::size_t> group_sizes);
-
-  /// Installs composition and groups from explicit interval assignments
-  /// (the heuristics' representation). Precondition: each assignment's
-  /// processor list is sorted ascending (the `IntervalMapping` canonical
-  /// form), so evaluation order matches the scalar path.
-  void set_intervals(const pipeline::Pipeline& pipeline,
-                     std::span<const IntervalAssignment> intervals);
-
-  [[nodiscard]] MappingView view() const {
-    return MappingView{stage_offsets_, processors_, group_offsets_};
-  }
-  [[nodiscard]] const CompositionCache& cache() const { return cache_; }
-
- private:
-  std::vector<std::size_t> stage_offsets_;
-  std::vector<platform::ProcessorId> processors_;
-  std::vector<std::size_t> group_offsets_;
-  std::vector<std::size_t> cursor_;  // per-group fill cursor for set_grouping
-  CompositionCache cache_;
-};
-
-/// Latency (equation (1) or (2) per the platform class) and failure
-/// probability of the viewed mapping, bit-identical to
-/// `latency(pipeline, platform, mapping)` and
-/// `failure_probability(platform, mapping)` on the materialized equivalent.
-[[nodiscard]] ViewEval evaluate_view(const platform::Platform& platform, const MappingView& view,
-                                     const CompositionCache& cache);
 
 /// Period of the viewed mapping, bit-identical to
 /// `period(pipeline, platform, mapping)` on the materialized equivalent.

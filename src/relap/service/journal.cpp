@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "relap/service/faultpoint.hpp"
@@ -24,22 +22,15 @@ constexpr std::string_view kMagic = "relapjnl";
 
 util::Error io_error(std::string message) { return util::make_error("io", std::move(message)); }
 
-util::Error corrupt(std::string message) {
-  return util::make_error("journal-corrupt", std::move(message));
-}
-
-util::Error version_mismatch(std::string message) {
-  return util::make_error("journal-version", std::move(message));
-}
-
 }  // namespace
 
-std::string encode_journal_header() {
+std::string encode_journal_header(std::uint64_t sealed_count) {
   std::string out;
   out.reserve(kJournalHeaderBytes);
   out.append(kMagic);
   util::bytes::append_u32_le(out, kJournalFormatVersion);
   util::bytes::append_u64_le(out, snapshot_build_stamp_hash());
+  util::bytes::append_u64_le(out, sealed_count);
   return out;
 }
 
@@ -54,34 +45,48 @@ std::string encode_journal_record(const FrontCache::ExportedEntry& entry) {
   return out;
 }
 
-util::Expected<JournalImage> decode_journal(std::string_view bytes) {
+util::Expected<JournalImage> decode_journal(std::string_view bytes, std::string_view kind) {
+  const std::string corrupt_code = std::string(kind) + "-corrupt";
+  const auto corrupt = [&](std::string message) {
+    return util::make_error(corrupt_code, std::move(message));
+  };
+  const auto version_mismatch = [&](std::string message) {
+    return util::make_error(std::string(kind) + "-version", std::move(message));
+  };
+
+  // A fresh file, or one whose creation a crash tore inside the header,
+  // replays as empty (open() rewrites the header); nothing is lost because
+  // a record can only follow a complete header. Each header field that is
+  // present is still checked, so an old-format header is refused rather
+  // than silently rewritten.
   JournalImage image;
-  if (bytes.empty()) return image;  // fresh file: open() writes the header
-  if (bytes.size() >= kMagic.size() && bytes.substr(0, kMagic.size()) != kMagic) {
-    return version_mismatch("not a relap journal (bad magic)");
-  }
-  if (bytes.size() < kJournalHeaderBytes) {
-    // A crash during creation tore the header itself; nothing is lost
-    // because a record can only follow a complete header.
-    return image;
-  }
   util::bytes::ByteReader reader(bytes);
   std::string_view magic;
   std::uint32_t version = 0;
   std::uint64_t stamp = 0;
-  (void)reader.read_raw(kMagic.size(), magic);
-  (void)reader.read_u32_le(version);
-  (void)reader.read_u64_le(stamp);
+  std::uint64_t sealed_count = 0;
+  if (!reader.read_raw(kMagic.size(), magic)) return image;
+  if (magic != kMagic) return version_mismatch("not a relap " + std::string(kind) + " (bad magic)");
+  if (!reader.read_u32_le(version)) return image;
   if (version != kJournalFormatVersion) {
-    return version_mismatch("journal format v" + std::to_string(version) +
+    return version_mismatch(std::string(kind) + " format v" + std::to_string(version) +
                             ", this build reads v" + std::to_string(kJournalFormatVersion));
   }
+  if (!reader.read_u64_le(stamp)) return image;
   if (stamp != snapshot_build_stamp_hash()) {
-    return version_mismatch(
-        "journal was produced by an incompatible solver build (stamp mismatch); re-solve "
-        "instead of replaying");
+    return version_mismatch(std::string(kind) +
+                            " was produced by an incompatible solver build (stamp mismatch); "
+                            "re-solve instead of loading");
   }
+  if (!reader.read_u64_le(sealed_count)) return image;
+  image.sealed = sealed_count != kOpenJournal;
   image.valid_bytes = kJournalHeaderBytes;
+  if (image.sealed) {
+    // Bounded by what the bytes could hold, so a damaged count cannot drive
+    // a giant allocation.
+    image.entries.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(sealed_count, reader.remaining() / kJournalRecordFrameBytes)));
+  }
 
   while (reader.remaining() > 0) {
     // Frame or payload running past end-of-file is the canonical crash
@@ -114,7 +119,7 @@ util::Expected<JournalImage> decode_journal(std::string_view bytes) {
     // here is corruption even at the tail (the write finished).
     util::bytes::ByteReader payload_reader(payload);
     util::Expected<FrontCache::ExportedEntry> entry =
-        decode_cache_entry(payload_reader, image.entries.size(), "journal-corrupt");
+        decode_cache_entry(payload_reader, image.entries.size(), corrupt_code);
     if (!entry.has_value()) return entry.error();
     if (!payload_reader.done()) {
       return corrupt("record " + std::to_string(image.entries.size()) +
@@ -122,6 +127,13 @@ util::Expected<JournalImage> decode_journal(std::string_view bytes) {
     }
     image.entries.push_back(std::move(entry).take());
     image.valid_bytes = reader.cursor();
+  }
+  // A sealed log was written whole and renamed into place: anything but
+  // exactly its count of intact records is damage, never a crash artifact.
+  if (image.sealed && (image.torn_records != 0 || image.entries.size() != sealed_count)) {
+    return corrupt("sealed " + std::string(kind) + " declares " + std::to_string(sealed_count) +
+                   " records but holds " + std::to_string(image.entries.size()) +
+                   (image.torn_records != 0 ? " and a torn tail" : ""));
   }
   return image;
 }
@@ -145,16 +157,17 @@ util::Expected<Journal::Opened> Journal::open(std::string path, JournalOptions o
   std::string bytes;
   struct stat st{};
   if (::stat(path.c_str(), &st) == 0) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) return io_error("cannot open '" + path + "' for reading");
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    if (!file) return io_error("read from '" + path + "' failed");
-    bytes = std::move(buffer).str();
+    util::Expected<std::string> read = util::fs::read_file(path);
+    if (!read.has_value()) return read.error();
+    bytes = std::move(read).take();
   }
 
   util::Expected<JournalImage> image = decode_journal(bytes);
   if (!image.has_value()) return image.error();
+  if (image->sealed) {
+    return util::make_error("journal-version",
+                            "'" + path + "' is a sealed snapshot, not an appendable journal");
+  }
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return io_error("cannot open '" + path + "' for appending");

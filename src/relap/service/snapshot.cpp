@@ -3,16 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "relap/service/faultpoint.hpp"
+#include "relap/service/journal.hpp"
 #include "relap/util/bytes.hpp"
 #include "relap/util/fs.hpp"
 #include "relap/util/hash.hpp"
@@ -22,18 +18,6 @@ namespace relap::service {
 namespace {
 
 using util::bytes::ByteReader;
-
-constexpr std::string_view kMagic = "relapsnp";
-constexpr std::uint32_t kSectionMeta = 1;
-constexpr std::uint32_t kSectionEntries = 2;
-
-util::Error corrupt(std::string message) {
-  return util::make_error("snapshot-corrupt", std::move(message));
-}
-
-util::Error version_mismatch(std::string message) {
-  return util::make_error("snapshot-version", std::move(message));
-}
 
 void encode_front(std::string& out, const algorithms::FrontReport& report) {
   util::bytes::append_u64_le(out, report.front.size());
@@ -172,101 +156,19 @@ util::Expected<FrontCache::ExportedEntry> decode_cache_entry(util::bytes::ByteRe
 }
 
 std::string encode_snapshot(std::span<const FrontCache::ExportedEntry> entries) {
-  std::string meta;
-  util::bytes::append_u64_le(meta, entries.size());
-
-  std::string payload;
-  for (const FrontCache::ExportedEntry& entry : entries) {
-    encode_cache_entry(payload, entry);
-  }
-
-  std::string out;
-  out.reserve(kMagic.size() + 16 + 2 * 20 + meta.size() + payload.size());
-  out.append(kMagic);
-  util::bytes::append_u32_le(out, kSnapshotFormatVersion);
-  util::bytes::append_u64_le(out, snapshot_build_stamp_hash());
-  util::bytes::append_u32_le(out, 2);
-  for (const auto& [id, section] :
-       {std::pair<std::uint32_t, const std::string*>{kSectionMeta, &meta},
-        std::pair<std::uint32_t, const std::string*>{kSectionEntries, &payload}}) {
-    util::bytes::append_u32_le(out, id);
-    util::bytes::append_u64_le(out, section->size());
-    util::bytes::append_u64_le(out, util::fnv1a(*section));
-    out.append(*section);
-  }
+  std::string out = encode_journal_header(entries.size());
+  for (const FrontCache::ExportedEntry& entry : entries) out += encode_journal_record(entry);
   return out;
 }
 
 util::Expected<std::vector<FrontCache::ExportedEntry>> decode_snapshot(std::string_view bytes) {
-  ByteReader reader(bytes);
-  std::string_view magic;
-  if (!reader.read_raw(kMagic.size(), magic)) return corrupt("file shorter than the magic");
-  if (magic != kMagic) return version_mismatch("not a relap snapshot (bad magic)");
-  std::uint32_t version = 0;
-  if (!reader.read_u32_le(version)) return corrupt("truncated header");
-  if (version != kSnapshotFormatVersion) {
-    return version_mismatch("snapshot format v" + std::to_string(version) +
-                            ", this build reads v" + std::to_string(kSnapshotFormatVersion));
+  util::Expected<JournalImage> image = decode_journal(bytes, "snapshot");
+  if (!image.has_value()) return image.error();
+  if (!image->sealed) {
+    return util::make_error("snapshot-corrupt",
+                            "not a sealed snapshot (an open journal, or a torn header)");
   }
-  std::uint64_t stamp = 0;
-  if (!reader.read_u64_le(stamp)) return corrupt("truncated header");
-  if (stamp != snapshot_build_stamp_hash()) {
-    return version_mismatch(
-        "snapshot was produced by an incompatible solver build (stamp mismatch); re-solve "
-        "instead of loading");
-  }
-  std::uint32_t section_count = 0;
-  if (!reader.read_u32_le(section_count)) return corrupt("truncated header");
-
-  std::string_view meta;
-  std::string_view entries_payload;
-  bool have_meta = false;
-  bool have_entries = false;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    std::uint32_t id = 0;
-    std::uint64_t size = 0;
-    std::uint64_t checksum = 0;
-    if (!reader.read_u32_le(id) || !reader.read_u64_le(size) || !reader.read_u64_le(checksum)) {
-      return corrupt("truncated section header");
-    }
-    std::string_view payload;
-    if (size > reader.remaining() || !reader.read_raw(static_cast<std::size_t>(size), payload)) {
-      return corrupt("section " + std::to_string(id) + " truncated");
-    }
-    if (util::fnv1a(payload) != checksum) {
-      return corrupt("section " + std::to_string(id) + " checksum mismatch");
-    }
-    if (id == kSectionMeta) {
-      meta = payload;
-      have_meta = true;
-    } else if (id == kSectionEntries) {
-      entries_payload = payload;
-      have_entries = true;
-    }
-    // Unknown section ids are checksummed and skipped: room for forward-
-    // compatible additions without a version bump.
-  }
-  if (!have_meta || !have_entries) return corrupt("missing meta or entries section");
-  if (!reader.done()) return corrupt("trailing bytes after the last section");
-
-  ByteReader meta_reader(meta);
-  std::uint64_t entry_count = 0;
-  if (!meta_reader.read_u64_le(entry_count) || !meta_reader.done()) {
-    return corrupt("bad meta section");
-  }
-
-  std::vector<FrontCache::ExportedEntry> entries;
-  entries.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(entry_count, entries_payload.size() / 8 + 1)));
-  ByteReader entry_reader(entries_payload);
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    util::Expected<FrontCache::ExportedEntry> entry =
-        decode_cache_entry(entry_reader, static_cast<std::size_t>(i), "snapshot-corrupt");
-    if (!entry.has_value()) return entry.error();
-    entries.push_back(std::move(entry).take());
-  }
-  if (!entry_reader.done()) return corrupt("trailing bytes after the last entry");
-  return entries;
+  return std::move(image).take().entries;
 }
 
 util::Expected<SnapshotStats> save_snapshot(const FrontCache& cache, const std::string& path) {
@@ -308,20 +210,15 @@ util::Expected<SnapshotStats> save_snapshot(const FrontCache& cache, const std::
 }
 
 util::Expected<SnapshotStats> load_snapshot(FrontCache& cache, const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return util::make_error("io", "cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (!file) return util::make_error("io", "read from '" + path + "' failed");
-  const std::string bytes = std::move(buffer).str();
-
-  util::Expected<std::vector<FrontCache::ExportedEntry>> entries = decode_snapshot(bytes);
+  const util::Expected<std::string> bytes = util::fs::read_file(path);
+  if (!bytes.has_value()) return bytes.error();
+  util::Expected<std::vector<FrontCache::ExportedEntry>> entries = decode_snapshot(*bytes);
   if (!entries.has_value()) return entries.error();
   const std::size_t count = entries->size();
   for (FrontCache::ExportedEntry& entry : entries.value()) {
     cache.insert(entry.hash, std::move(entry.key), std::move(entry.value));
   }
-  return SnapshotStats{count, bytes.size()};
+  return SnapshotStats{count, bytes->size()};
 }
 
 }  // namespace relap::service

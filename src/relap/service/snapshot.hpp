@@ -1,31 +1,24 @@
 #pragma once
 
 /// \file snapshot.hpp
-/// Persistence for the solved-front memo cache: a version-stamped binary
-/// snapshot of (full cache key bytes -> solved FrontReport), so a restarted
-/// broker starts warm instead of cold.
+/// Persistence for the solved-front memo cache: a snapshot of (full cache
+/// key bytes -> solved FrontReport), so a restarted broker starts warm
+/// instead of cold.
 ///
-/// Format (all integers little-endian via util/bytes, doubles as IEEE-754
-/// bit patterns — bit-exact round-trip by construction):
-///
-///     magic    8 bytes  "relapsnp"
-///     u32      format version (kSnapshotFormatVersion)
-///     u64      build stamp hash — FNV-1a of `snapshot_build_stamp()`
-///     u32      section count
-///     then per section:
-///       u32    section id (1 = meta, 2 = entries)
-///       u64    payload size in bytes
-///       u64    payload FNV-1a checksum
-///       ...    payload bytes
-///
-/// The meta payload holds the entry count; the entries payload holds one
-/// record per cache entry: the full key (u64 hash + length-prefixed bytes —
-/// the canonical instance bytes plus the solve-knob suffix the broker
-/// appends, see broker.hpp) followed by the solved front (per point: the
-/// latency/FP bit patterns and the interval/replica-group structure of the
-/// mapping), the producing algorithm, its exactness flag and the evaluation
-/// count. Keys are opaque bytes to this codec: whatever knobs the broker
-/// keys on ride along unchanged.
+/// A snapshot is a *sealed journal* (service/journal.hpp): the journal
+/// header with its record count filled in, then one journal record per
+/// cache entry in LRU -> MRU order. One header, one record frame and one
+/// decoder serve snapshot load, journal replay and crash recovery. Each
+/// record's payload is the cache entry codec below: the full key (u64 hash
+/// + length-prefixed bytes — the canonical instance bytes plus the
+/// solve-knob suffix the broker appends, see broker.hpp) followed by the
+/// solved front (per point: the latency/FP bit patterns and the
+/// interval/replica-group structure of the mapping), the producing
+/// algorithm, its exactness flag and the evaluation count. All integers are
+/// little-endian via util/bytes and doubles travel as IEEE-754 bit
+/// patterns, so a round trip is bit-exact by construction. Keys are opaque
+/// bytes to this codec: whatever knobs the broker keys on ride along
+/// unchanged.
 ///
 /// Rejection rules — every failure is a structured `util::Expected` error,
 /// never an assert, because a snapshot file is runtime input:
@@ -36,11 +29,12 @@
 ///     fronts that a fresh solve of the same build would not produce,
 ///     silently breaking the warm == cold bit-identity contract, so it is
 ///     rejected outright;
-///   * "snapshot-corrupt": truncation anywhere, a section checksum
-///     mismatch, an entry whose stored hash does not match its key bytes,
-///     or a front whose mapping structure is invalid (the decoder
-///     re-validates every structural invariant `mapping::IntervalMapping`
-///     asserts, *before* constructing one).
+///   * "snapshot-corrupt": an open (unsealed) journal or a torn header, a
+///     record count that does not match the records present, any torn,
+///     trailing or checksum-failing record, an entry whose stored hash does
+///     not match its key bytes, or a front whose mapping structure is
+///     invalid (the decoder re-validates every structural invariant
+///     `mapping::IntervalMapping` asserts, *before* constructing one).
 ///
 /// Saves are crash-safe: the snapshot is written to `<path>.tmp` and
 /// renamed over `path` only after a successful flush, so a crash mid-save
@@ -58,8 +52,6 @@
 
 namespace relap::service {
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
-
 /// Names the generation of solver result streams this build produces. Bump
 /// whenever any cached solver's output for a given canonical instance can
 /// change (algorithm changes, comparator changes, RNG scheme migrations in
@@ -75,24 +67,23 @@ struct SnapshotStats {
   std::size_t bytes = 0;  ///< encoded snapshot size
 };
 
-/// Encodes one cache entry record — the unit both persistence codecs share:
-/// u64 key hash, length-prefixed key bytes, then the solved front. The
-/// snapshot's entries section is a run of these; the journal
-/// (service/journal.hpp) frames one per record.
+/// Encodes one cache entry record — the payload of every journal record
+/// (service/journal.hpp), sealed or open: u64 key hash, length-prefixed key
+/// bytes, then the solved front.
 void encode_cache_entry(std::string& out, const FrontCache::ExportedEntry& entry);
 
-/// Decodes one cache entry record from `reader`, re-validating everything
-/// `decode_snapshot` would (key/hash match, every mapping invariant).
-/// Failures carry `error_code` ("snapshot-corrupt" or "journal-corrupt" —
-/// both codecs reject with their own code) and name `entry_index`.
+/// Decodes one cache entry record from `reader`, re-validating the key/hash
+/// match and every mapping invariant. Failures carry `error_code`
+/// ("snapshot-corrupt" or "journal-corrupt") and name `entry_index`.
 [[nodiscard]] util::Expected<FrontCache::ExportedEntry> decode_cache_entry(
     util::bytes::ByteReader& reader, std::size_t entry_index, std::string_view error_code);
 
-/// Serializes `entries` into the format above.
+/// Serializes `entries` as a sealed journal: `encode_journal_header(n)`
+/// followed by one `encode_journal_record` per entry, in order.
 [[nodiscard]] std::string encode_snapshot(std::span<const FrontCache::ExportedEntry> entries);
 
-/// Parses and fully validates a snapshot byte string (see rejection rules
-/// above). The returned entries preserve encoding order.
+/// `decode_journal(bytes, "snapshot")`, and the header must be sealed (see
+/// rejection rules above). The returned entries preserve encoding order.
 [[nodiscard]] util::Expected<std::vector<FrontCache::ExportedEntry>> decode_snapshot(
     std::string_view bytes);
 

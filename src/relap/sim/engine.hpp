@@ -28,7 +28,7 @@
 /// equations exactly (asserted by the engine tests and bench_simulation).
 ///
 /// The engine runs on a caller-owned `SimScratch` arena, the simulation
-/// counterpart of the enumerators' `mapping::EvalScratch`: all mutable state
+/// counterpart of the enumerators' `mapping::LaneEvalBatch`: all mutable state
 /// (per-processor avail/death/received-once arrays, the flattened receive
 /// orders, the per-group receive-end workspace, a reusable failure-scenario
 /// buffer) lives in flat buffers that are sized once by `bind()` and reused

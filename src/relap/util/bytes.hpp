@@ -4,7 +4,8 @@
 /// Fixed-width little-endian byte serialization, shared by every binary
 /// encoder in the tree: the canonical instance key bytes
 /// (io::append_instance_key_bytes), the broker's full cache keys and the
-/// service snapshot sections (service/snapshot.hpp).
+/// journal records that snapshots and the write-ahead log share
+/// (service/journal.hpp).
 ///
 /// All writers emit little-endian regardless of host byte order (values are
 /// decomposed by shifting, never by memcpy of native representations), so
@@ -13,7 +14,7 @@
 /// serialize identically iff they are bit-identical — the same contract the
 /// FNV-1a checksums pin (util/hash.hpp). The byte layout is known-answer
 /// tested in tests/test_util_bytes.cpp; changing it invalidates committed
-/// snapshots and must bump kSnapshotFormatVersion.
+/// snapshots and journals and must bump kJournalFormatVersion.
 ///
 /// `ByteReader` is the decoding side: a cursor over a byte string whose
 /// every read is bounds-checked and returns false on truncation instead of

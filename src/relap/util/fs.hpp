@@ -2,19 +2,33 @@
 
 /// \file fs.hpp
 /// Tiny POSIX filesystem helpers shared by the crash-safe persistence code
-/// (service/snapshot.cpp, service/journal.cpp): full-buffer writes and the
-/// directory-fsync half of the write -> fsync -> rename -> fsync(dir)
-/// durability protocol.
+/// (service/snapshot.cpp, service/journal.cpp): whole-file reads,
+/// full-buffer writes and the directory-fsync half of the
+/// write -> fsync -> rename -> fsync(dir) durability protocol.
 
 #include <fcntl.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 
+#include "relap/util/expected.hpp"
+
 namespace relap::util::fs {
+
+/// Reads the whole file at `path`; "io" error if it cannot be opened or read.
+inline Expected<std::string> read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return make_error("io", "cannot open '" + path + "' for reading");
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  if (!file) return make_error("io", "read from '" + path + "' failed");
+  return std::move(buffer).str();
+}
 
 /// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
 inline bool write_all(int fd, std::string_view bytes) {

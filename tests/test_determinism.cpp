@@ -11,10 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "relap/algorithms/annealing.hpp"
 #include "relap/algorithms/exhaustive.hpp"
 #include "relap/algorithms/heuristics.hpp"
-#include "relap/algorithms/local_search.hpp"
 #include "relap/algorithms/pareto_driver.hpp"
 #include "relap/exec/thread_pool.hpp"
 #include "relap/gen/paper_instances.hpp"
@@ -443,70 +441,6 @@ TEST(Determinism, BrokerConcurrentBatchedCallersEqualColdAcrossThreadCounts) {
     }
     // Identical concurrent presentations coalesce onto one actual solve.
     EXPECT_EQ(broker.metrics().solves_total.value(), 1U) << "threads=" << threads;
-  }
-}
-
-TEST(Determinism, MultiStartAnnealingAcrossThreadCounts) {
-  const auto pipe = gen::random_uniform_pipeline(5, 41);
-  gen::PlatformGenOptions gen_options;
-  gen_options.processors = 6;
-  const auto plat = gen::random_comm_hom_het_failures(gen_options, 42);
-  const algorithms::Solution start =
-      algorithms::evaluate(pipe, plat, mapping::IntervalMapping::single_interval(5, {0}));
-  const double cap = start.latency * 1.2;
-
-  exec::ThreadPool serial(1);
-  algorithms::AnnealingOptions options;
-  options.iterations = 2'000;
-  options.restarts = 4;
-  options.pool = &serial;
-  const algorithms::Solution reference =
-      algorithms::anneal_min_fp(pipe, plat, start, cap, options);
-
-  for (const std::size_t threads : kThreadCounts) {
-    exec::ThreadPool pool(threads);
-    options.pool = &pool;
-    const algorithms::Solution out = algorithms::anneal_min_fp(pipe, plat, start, cap, options);
-    EXPECT_EQ(out.mapping, reference.mapping) << "threads=" << threads;
-    EXPECT_EQ(out.latency, reference.latency) << "threads=" << threads;
-    EXPECT_EQ(out.failure_probability, reference.failure_probability) << "threads=" << threads;
-  }
-}
-
-TEST(Determinism, MultiStartLocalSearchAcrossThreadCounts) {
-  const auto pipe = gen::random_uniform_pipeline(5, 51);
-  gen::PlatformGenOptions gen_options;
-  gen_options.processors = 6;
-  const auto plat = gen::random_comm_hom_het_failures(gen_options, 52);
-
-  std::vector<algorithms::Solution> starts;
-  starts.push_back(
-      algorithms::evaluate(pipe, plat, mapping::IntervalMapping::single_interval(5, {0})));
-  starts.push_back(
-      algorithms::evaluate(pipe, plat, mapping::IntervalMapping::single_interval(5, {1, 2})));
-  starts.push_back(
-      algorithms::evaluate(pipe, plat, mapping::IntervalMapping::single_interval(5, {3})));
-  const double cap = starts[0].latency * 1.5;
-
-  exec::ThreadPool serial(1);
-  algorithms::LocalSearchOptions options;
-  options.pool = &serial;
-  const algorithms::Solution reference =
-      algorithms::multi_start_local_search_min_fp(pipe, plat, starts, cap, options);
-
-  // The winner is never worse than any start under the comparator.
-  for (const algorithms::Solution& start : starts) {
-    EXPECT_FALSE(algorithms::better_min_fp(start, reference, cap));
-  }
-
-  for (const std::size_t threads : kThreadCounts) {
-    exec::ThreadPool pool(threads);
-    options.pool = &pool;
-    const algorithms::Solution out =
-        algorithms::multi_start_local_search_min_fp(pipe, plat, starts, cap, options);
-    EXPECT_EQ(out.mapping, reference.mapping) << "threads=" << threads;
-    EXPECT_EQ(out.latency, reference.latency) << "threads=" << threads;
-    EXPECT_EQ(out.failure_probability, reference.failure_probability) << "threads=" << threads;
   }
 }
 

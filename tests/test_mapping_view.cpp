@@ -1,10 +1,14 @@
-// Tests for mapping/mapping_view.hpp — the zero-allocation batched
-// evaluation kernel. Two guarantees are pinned here:
-//  1. bit-identity: evaluate_view / period_view match the scalar evaluators
-//     bit for bit on randomized mappings across platform classes (the
-//     determinism suite builds on this);
-//  2. zero allocation: the steady-state candidate loop (set_grouping +
-//     evaluate_view + period_view + indexer successor) performs no heap
+// Tests for the candidate evaluator: mapping/mapping_lanes.hpp's
+// `LaneEvalBatch<W>` over the mapping/mapping_view.hpp types. Two
+// guarantees are pinned here:
+//  1. bit-identity: every lane's latency and failure probability match the
+//     scalar oracle (`algorithms::evaluate`, i.e. `latency()` and
+//     `failure_probability()`) bit for bit on randomized mappings, at
+//     W in {1, 4, 8}, in both staging modes and on all three platform
+//     classes; `period_view` matches `period()` and `materialize` returns
+//     the drawn mapping (the determinism suite builds on this);
+//  2. zero allocation: the steady-state lane-batch loop (push_grouping +
+//     evaluate + period_view + indexer successor) performs no heap
 //     allocation, counted by replacing the global allocator in this TU.
 
 #include "relap/mapping/mapping_view.hpp"
@@ -13,6 +17,8 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -53,7 +59,7 @@ void* counted_allocate_aligned(std::size_t size, std::size_t alignment) {
 
 // Replaceable global allocation functions: every operator new in this test
 // binary routes through the counter. The zero-allocation test below measures
-// the counter across the kernel's steady-state loop.
+// the counter across the lane batch's steady-state loop.
 void* operator new(std::size_t size) { return counted_allocate(size); }
 void* operator new[](std::size_t size) { return counted_allocate(size); }
 void* operator new(std::size_t size, std::align_val_t alignment) {
@@ -74,90 +80,15 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace relap {
 namespace {
 
-/// Draws a uniform random interval mapping (composition + grouping) via the
-/// indexers' unrank, and cross-checks every kernel evaluator against its
-/// scalar counterpart, demanding exact bit equality.
-void cross_check_random_mappings(const pipeline::Pipeline& pipe,
-                                 const platform::Platform& plat, std::uint64_t seed,
-                                 int iterations) {
-  const std::size_t n = pipe.stage_count();
-  const std::size_t m = plat.processor_count();
-  util::Rng rng(seed);
-  mapping::EvalScratch scratch(n, m);
-  mapping::EvalScratch interval_scratch(n, m);
-  std::vector<std::size_t> lengths;
-  std::vector<std::size_t> group_of(m);
-  std::vector<std::size_t> group_sizes;
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-  for (int i = 0; i < iterations; ++i) {
-    const std::size_t p = 1 + static_cast<std::size_t>(rng.uniform_int(std::min(n, m)));
-    const util::CompositionIndexer compositions(n, p);
-    const util::GroupingIndexer groupings(m, p);
-    compositions.unrank(rng.uniform_int(compositions.count()), lengths);
-    group_sizes.resize(p);
-    groupings.unrank(rng.uniform_int(groupings.count()), group_of, group_sizes);
-
-    std::vector<std::vector<platform::ProcessorId>> groups(p);
-    for (platform::ProcessorId u = 0; u < m; ++u) {
-      if (group_of[u] < p) groups[group_of[u]].push_back(u);
-    }
-    const mapping::IntervalMapping mapping =
-        mapping::IntervalMapping::from_composition(lengths, groups);
-    const algorithms::Solution scalar = algorithms::evaluate(pipe, plat, mapping);
-    const double scalar_period = mapping::period(pipe, plat, mapping);
-
-    // Enumeration path: composition + grouping word.
-    scratch.set_composition(pipe, lengths);
-    scratch.set_grouping(group_of, group_sizes);
-    const mapping::ViewEval eval =
-        mapping::evaluate_view(plat, scratch.view(), scratch.cache());
-    EXPECT_EQ(eval.latency, scalar.latency) << "iteration " << i;
-    EXPECT_EQ(eval.failure_probability, scalar.failure_probability) << "iteration " << i;
-    EXPECT_EQ(mapping::period_view(plat, scratch.view(), scratch.cache()), scalar_period)
-        << "iteration " << i;
-    EXPECT_EQ(mapping::materialize(scratch.view()), mapping) << "iteration " << i;
-
-    // Heuristics path: explicit interval assignments.
-    interval_scratch.set_intervals(pipe, mapping.intervals());
-    const mapping::ViewEval interval_eval =
-        mapping::evaluate_view(plat, interval_scratch.view(), interval_scratch.cache());
-    EXPECT_EQ(interval_eval.latency, scalar.latency) << "iteration " << i;
-    EXPECT_EQ(interval_eval.failure_probability, scalar.failure_probability)
-        << "iteration " << i;
-  }
-}
-
-TEST(MappingView, MatchesScalarEvaluatorsOnCommHomogeneousPlatforms) {
-  const auto pipe = gen::random_uniform_pipeline(6, 301);
-  gen::PlatformGenOptions options;
-  options.processors = 7;
-  const auto plat = gen::random_comm_hom_het_failures(options, 302);
-  ASSERT_TRUE(plat.has_homogeneous_links());  // exercises the eq-(1) kernel
-  cross_check_random_mappings(pipe, plat, 303, 400);
-}
-
-TEST(MappingView, MatchesScalarEvaluatorsOnFullyHeterogeneousPlatforms) {
-  const auto pipe = gen::random_uniform_pipeline(5, 311);
-  gen::PlatformGenOptions options;
-  options.processors = 6;
-  const auto plat = gen::random_fully_heterogeneous(options, 312);
-  ASSERT_FALSE(plat.has_homogeneous_links());  // exercises the eq-(2) kernel
-  cross_check_random_mappings(pipe, plat, 313, 400);
-}
-
-TEST(MappingView, MatchesScalarEvaluatorsOnFullyHomogeneousPlatforms) {
-  const auto pipe = gen::random_uniform_pipeline(4, 321);
-  gen::PlatformGenOptions options;
-  options.processors = 5;
-  const auto plat = gen::random_fully_homogeneous(options, 322);
-  cross_check_random_mappings(pipe, plat, 323, 200);
-}
-
-/// Draws random mappings and streams them through a `LaneEvalBatch<W>` in
-/// enumeration form (set_composition before every push, so compositions
-/// change mid-batch), flushing full and final partial batches; every lane's
-/// result must match the scalar `evaluate_view` oracle bit for bit, and the
-/// lane views must materialize/period exactly like the scalar path.
+/// Draws uniform random interval mappings (composition + grouping) via the
+/// indexers' unrank and streams them through a `LaneEvalBatch<W>`, flushing
+/// full and final partial batches. Enumeration mode calls set_composition
+/// before every push_grouping, so compositions change mid-batch; interval
+/// mode stages each mapping's explicit assignments with push_intervals.
+/// Every lane's result must match the scalar oracle bit for bit, and the
+/// lane views must period/materialize exactly like the drawn mapping.
 template <std::size_t W>
 void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
                                       const platform::Platform& plat, std::uint64_t seed,
@@ -165,7 +96,6 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
   const std::size_t n = pipe.stage_count();
   const std::size_t m = plat.processor_count();
   util::Rng rng(seed);
-  mapping::EvalScratch scratch(n, m);
   mapping::LaneEvalBatch<W> batch(n, m);
   std::array<mapping::ViewEval, W> evals;
   std::vector<std::size_t> lengths;
@@ -176,15 +106,13 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
   const auto flush = [&] {
     batch.evaluate(plat, evals);
     for (std::size_t l = 0; l < batch.size(); ++l) {
-      scratch.set_intervals(pipe, staged[l].intervals());
-      const mapping::ViewEval oracle =
-          mapping::evaluate_view(plat, scratch.view(), scratch.cache());
-      EXPECT_EQ(evals[l].latency, oracle.latency) << "W=" << W << " lane " << l;
-      EXPECT_EQ(evals[l].failure_probability, oracle.failure_probability)
+      const algorithms::Solution oracle = algorithms::evaluate(pipe, plat, staged[l]);
+      EXPECT_EQ(bits(evals[l].latency), bits(oracle.latency)) << "W=" << W << " lane " << l;
+      EXPECT_EQ(bits(evals[l].failure_probability), bits(oracle.failure_probability))
           << "W=" << W << " lane " << l;
       EXPECT_EQ(mapping::materialize(batch.view(l)), staged[l]) << "W=" << W << " lane " << l;
-      EXPECT_EQ(mapping::period_view(plat, batch.view(l), batch.cache(l)),
-                mapping::period(pipe, plat, staged[l]))
+      EXPECT_EQ(bits(mapping::period_view(plat, batch.view(l), batch.cache(l))),
+                bits(mapping::period(pipe, plat, staged[l])))
           << "W=" << W << " lane " << l;
     }
     batch.clear();
@@ -215,15 +143,24 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
   if (!batch.empty()) flush();  // also exercises partial batches when W > 1
 }
 
+/// Both staging modes at every lane width, each with its own draw stream.
+void lane_cross_check_all_widths(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                                 std::uint64_t seed, int iterations) {
+  for (const bool interval_mode : {false, true}) {
+    const std::uint64_t base = seed + (interval_mode ? 10 : 0);
+    lane_cross_check_random_mappings<1>(pipe, plat, base, iterations, interval_mode);
+    lane_cross_check_random_mappings<4>(pipe, plat, base + 1, iterations, interval_mode);
+    lane_cross_check_random_mappings<8>(pipe, plat, base + 2, iterations, interval_mode);
+  }
+}
+
 TEST(MappingLanes, MatchesScalarOracleOnCommHomogeneousPlatforms) {
   const auto pipe = gen::random_uniform_pipeline(6, 401);
   gen::PlatformGenOptions options;
   options.processors = 7;
   const auto plat = gen::random_comm_hom_het_failures(options, 402);
   ASSERT_TRUE(plat.has_homogeneous_links());  // exercises the eq-(1) lane kernel
-  lane_cross_check_random_mappings<1>(pipe, plat, 403, 150, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 404, 150, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 405, 150, false);
+  lane_cross_check_all_widths(pipe, plat, 403, 150);
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnFullyHeterogeneousPlatforms) {
@@ -232,9 +169,7 @@ TEST(MappingLanes, MatchesScalarOracleOnFullyHeterogeneousPlatforms) {
   options.processors = 6;
   const auto plat = gen::random_fully_heterogeneous(options, 412);
   ASSERT_FALSE(plat.has_homogeneous_links());  // exercises the eq-(2) lane kernel
-  lane_cross_check_random_mappings<1>(pipe, plat, 413, 150, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 414, 150, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 415, 150, false);
+  lane_cross_check_all_widths(pipe, plat, 413, 150);
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnFullyHomogeneousPlatforms) {
@@ -242,9 +177,7 @@ TEST(MappingLanes, MatchesScalarOracleOnFullyHomogeneousPlatforms) {
   gen::PlatformGenOptions options;
   options.processors = 5;
   const auto plat = gen::random_fully_homogeneous(options, 422);
-  lane_cross_check_random_mappings<1>(pipe, plat, 423, 100, false);
-  lane_cross_check_random_mappings<4>(pipe, plat, 424, 100, false);
-  lane_cross_check_random_mappings<8>(pipe, plat, 425, 100, false);
+  lane_cross_check_all_widths(pipe, plat, 423, 100);
 }
 
 TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
@@ -255,6 +188,7 @@ TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
   options.processors = 7;
   const auto het = gen::random_fully_heterogeneous(options, 432);
   const auto hom = gen::random_comm_hom_het_failures(options, 433);
+  lane_cross_check_random_mappings<1>(pipe, het, 437, 150, true);
   lane_cross_check_random_mappings<4>(pipe, het, 434, 150, true);
   lane_cross_check_random_mappings<8>(pipe, het, 435, 150, true);
   lane_cross_check_random_mappings<8>(pipe, hom, 436, 150, true);
@@ -262,13 +196,13 @@ TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
 
 TEST(MappingView, ViewAccessorsDescribeTheMapping) {
   const auto pipe = gen::random_uniform_pipeline(5, 331);
-  mapping::EvalScratch scratch(5, 4);
+  mapping::LaneEvalBatch<1> batch(5, 4);
   const std::vector<std::size_t> lengths{2, 3};
-  scratch.set_composition(pipe, lengths);
+  batch.set_composition(pipe, lengths);
   const std::vector<std::size_t> group_of{0, 1, 2, 1};  // processor 2 unused
   const std::vector<std::size_t> group_sizes{1, 2};
-  scratch.set_grouping(group_of, group_sizes);
-  const mapping::MappingView view = scratch.view();
+  batch.push_grouping(group_of, group_sizes);
+  const mapping::MappingView view = batch.view(0);
   EXPECT_EQ(view.interval_count(), 2u);
   EXPECT_EQ(view.stage_count(), 5u);
   EXPECT_EQ(view.first_stage(0), 0u);
@@ -281,52 +215,6 @@ TEST(MappingView, ViewAccessorsDescribeTheMapping) {
   ASSERT_EQ(view.group(1).size(), 2u);
   EXPECT_EQ(view.group(1)[0], 1u);
   EXPECT_EQ(view.group(1)[1], 3u);
-}
-
-TEST(MappingViewAllocation, SteadyStateInnerLoopIsAllocationFree) {
-  const auto pipe = gen::random_uniform_pipeline(6, 341);
-  gen::PlatformGenOptions options;
-  options.processors = 7;
-  const auto plat = gen::random_fully_heterogeneous(options, 342);
-  const std::size_t n = 6;
-  const std::size_t m = 7;
-  const std::size_t p = 3;
-
-  const util::GroupingIndexer groupings(m, p);
-  const util::CompositionIndexer compositions(n, p);
-  std::vector<std::size_t> lengths;
-  std::vector<std::size_t> group_of(m);
-  std::vector<std::size_t> group_sizes(p);
-  mapping::EvalScratch scratch(n, m);
-
-  // Warm up: first contact sizes every buffer to its steady-state capacity.
-  std::uint64_t composition_rank = 0;
-  compositions.unrank(composition_rank, lengths);
-  scratch.set_composition(pipe, lengths);
-  groupings.unrank(0, group_of, group_sizes);
-  scratch.set_grouping(group_of, group_sizes);
-  (void)mapping::evaluate_view(plat, scratch.view(), scratch.cache());
-
-  double sink = 0.0;
-  const std::size_t before = allocation_count();
-  for (int i = 0; i < 2000; ++i) {
-    scratch.set_grouping(group_of, group_sizes);
-    const mapping::ViewEval eval =
-        mapping::evaluate_view(plat, scratch.view(), scratch.cache());
-    sink += eval.latency + eval.failure_probability;
-    sink += mapping::period_view(plat, scratch.view(), scratch.cache());
-    if (!groupings.next(group_of, group_sizes)) {
-      // Composition wrap, as in the real enumerator: still allocation-free.
-      composition_rank = (composition_rank + 1) % compositions.count();
-      compositions.unrank(composition_rank, lengths);
-      scratch.set_composition(pipe, lengths);
-      groupings.unrank(0, group_of, group_sizes);
-    }
-  }
-  const std::size_t after = allocation_count();
-  EXPECT_EQ(after, before) << "steady-state inner loop allocated " << (after - before)
-                           << " times over 2000 candidates";
-  EXPECT_GT(sink, 0.0);  // keep the loop observable
 }
 
 TEST(MappingViewAllocation, LaneBatchSteadyStateIsAllocationFree) {

@@ -612,6 +612,52 @@ TEST_F(Journals, VersionAndStampMismatchesReject) {
   std::remove(path.c_str());
 }
 
+TEST_F(Journals, VersionOneJournalRejects) {
+  // A format-v1 journal: the 20-byte header without the sealed count, bare
+  // or followed by records. Neither may be replayed or rewritten.
+  const std::string bytes = journal_bytes_for({92}, "v1_src");
+  std::string v1_header = "relapjnl";
+  util::bytes::append_u32_le(v1_header, 1);
+  util::bytes::append_u64_le(v1_header, snapshot_build_stamp_hash());
+  const std::string path = temp_path("v1");
+  for (const std::string& v1 : {v1_header, v1_header + bytes.substr(kJournalHeaderBytes)}) {
+    const auto decoded = decode_journal(v1);
+    ASSERT_FALSE(decoded.has_value()) << v1.size() << "-byte v1 journal accepted";
+    EXPECT_EQ(decoded.error().code, "journal-version");
+
+    write_file(path, v1);
+    const auto opened = Journal::open(path);
+    ASSERT_FALSE(opened.has_value());
+    EXPECT_EQ(opened.error().code, "journal-version");
+    EXPECT_EQ(read_file(path), v1);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(Journals, OpenRefusesASealedSnapshotAndLeavesItByteIdentical) {
+  Broker broker;
+  ASSERT_TRUE(broker.solve(pareto_request(93)).has_value());
+  ASSERT_TRUE(broker.solve(pareto_request(94)).has_value());
+  const std::string snap = temp_path("sealed_snap");
+  ASSERT_TRUE(broker.save_snapshot(snap).has_value());
+  const std::string before = read_file(snap);
+  ASSERT_TRUE(decode_journal(before).has_value());  // an intact sealed journal
+
+  const auto opened = Journal::open(snap);
+  ASSERT_FALSE(opened.has_value()) << "a snapshot was opened for appends";
+  EXPECT_EQ(opened.error().code, "journal-version") << opened.error().to_string();
+  EXPECT_EQ(read_file(snap), before);
+
+  // Passing the snapshot as the journal of a recovery refuses the same way.
+  Broker restarted;
+  const auto recovered = restarted.recover("", snap);
+  ASSERT_FALSE(recovered.has_value());
+  EXPECT_EQ(recovered.error().code, "journal-version");
+  EXPECT_FALSE(restarted.journal_enabled());
+  EXPECT_EQ(read_file(snap), before);
+  std::remove(snap.c_str());
+}
+
 TEST_F(Journals, MidFileDamageIsCorruptionNotATornTail) {
   const std::string bytes = journal_bytes_for({95, 96}, "corrupt_src");
   const std::vector<std::size_t> ends = record_boundaries(bytes);

@@ -1,6 +1,7 @@
 // Tests for service/snapshot.hpp: cache snapshots round-trip bit-exactly
 // (including under LRU eviction pressure), warm-from-snapshot replies are
-// bit-identical to same-process warm replies, and truncated / corrupted /
+// bit-identical to same-process warm replies, a snapshot is byte for byte a
+// sealed journal, and truncated / corrupted / unsealed / miscounted /
 // version-mismatched snapshot files are rejected with structured errors —
 // never an assert, because a snapshot is runtime input.
 
@@ -19,7 +20,9 @@
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/broker.hpp"
+#include "relap/service/journal.hpp"
 #include "relap/util/bytes.hpp"
+#include "relap/util/hash.hpp"
 
 namespace relap::service {
 namespace {
@@ -261,6 +264,38 @@ TEST_F(SnapshotRejection, TrailingGarbageRejected) {
   expect_rejected(bytes_ + "extra", "snapshot-corrupt");
 }
 
+TEST_F(SnapshotRejection, IntactOpenJournalIsNotASnapshot) {
+  // The same record behind an open header is an intact journal — replay
+  // accepts it — but it was never sealed, so it is not a snapshot.
+  const std::string open = encode_journal_header() + bytes_.substr(kJournalHeaderBytes);
+  const auto replayed = decode_journal(open);
+  ASSERT_TRUE(replayed.has_value()) << replayed.error().to_string();
+  EXPECT_EQ(replayed->entries.size(), 1U);
+  EXPECT_EQ(replayed->torn_records, 0U);
+  expect_rejected(open, "snapshot-corrupt");
+}
+
+TEST_F(SnapshotRejection, VersionOneFilesReject) {
+  // A format-v1 header in place of the v2 one.
+  std::string v1_header = bytes_;
+  v1_header[8] = '\x01';  // u32 version follows the 8-byte magic; v2 -> v1
+  expect_rejected(v1_header, "snapshot-version");
+
+  // A v1 write-ahead journal: 20-byte header (no sealed count), same records.
+  std::string v1_journal = "relapjnl";
+  util::bytes::append_u32_le(v1_journal, 1);
+  util::bytes::append_u64_le(v1_journal, snapshot_build_stamp_hash());
+  v1_journal += bytes_.substr(kJournalHeaderBytes);
+  expect_rejected(v1_journal, "snapshot-version");
+
+  // The v1 sectioned snapshot layout, with its own magic.
+  std::string v1_sectioned = "relapsnp";
+  util::bytes::append_u32_le(v1_sectioned, 1);
+  util::bytes::append_u64_le(v1_sectioned, snapshot_build_stamp_hash());
+  util::bytes::append_u32_le(v1_sectioned, 0);
+  expect_rejected(v1_sectioned, "snapshot-version");
+}
+
 TEST_F(SnapshotRejection, EmptySnapshotOfNoEntriesStillLoads) {
   // Contrast case: a legitimate empty snapshot is fine.
   Broker empty;
@@ -269,6 +304,60 @@ TEST_F(SnapshotRejection, EmptySnapshotOfNoEntriesStillLoads) {
   const auto loaded = broker.load_snapshot(path_);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->entries, 0U);
+}
+
+// --- One format: a snapshot is a sealed journal. -----------------------------
+
+TEST(SnapshotSeal, SavedBytesAreTheSealedHeaderThenOneJournalRecordPerEntry) {
+  FrontCache cache;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    auto report = std::make_shared<algorithms::FrontReport>();
+    report->front.push_back(algorithms::ParetoSolution{
+        1.5 + static_cast<double>(i), 0.25,
+        mapping::IntervalMapping::single_interval(3, {0, static_cast<platform::ProcessorId>(i + 1)})});
+    report->algorithm = "seal-test";
+    report->exact = i % 2 == 0;
+    report->evaluations = i;
+    std::string key = "key-" + std::to_string(i);
+    const std::uint64_t hash = util::fnv1a(key);
+    cache.insert(hash, std::move(key), std::move(report));
+  }
+  const std::string path = temp_path("sealed");
+  const auto saved = save_snapshot(cache, path);
+  ASSERT_TRUE(saved.has_value()) << saved.error().to_string();
+  EXPECT_EQ(saved->entries, 3U);
+
+  std::string expected = encode_journal_header(3);
+  for (const FrontCache::ExportedEntry& entry : cache.export_entries()) {
+    expected += encode_journal_record(entry);
+  }
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(bytes, expected);
+  EXPECT_EQ(saved->bytes, bytes.size());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotSeal, SealedCountRewrittenToItsNeighboursRejects) {
+  Broker broker;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ASSERT_TRUE(broker.solve(pareto_request(seed)).has_value());
+  }
+  const std::string path = temp_path("count");
+  ASSERT_TRUE(broker.save_snapshot(path).has_value());
+  const std::string bytes = read_file(path);
+  ASSERT_EQ(bytes.substr(0, kJournalHeaderBytes), encode_journal_header(3));
+  const std::string records = bytes.substr(kJournalHeaderBytes);
+
+  // n - 1 leaves a trailing record, n + 1 a missing one: both are damage.
+  for (const std::uint64_t count : {std::uint64_t{2}, std::uint64_t{4}}) {
+    write_file(path, encode_journal_header(count) + records);
+    Broker restored;
+    const auto loaded = restored.load_snapshot(path);
+    ASSERT_FALSE(loaded.has_value()) << "accepted sealed count " << count;
+    EXPECT_EQ(loaded.error().code, "snapshot-corrupt") << loaded.error().to_string();
+    EXPECT_EQ(restored.cache_stats().entries, 0U);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
