@@ -151,10 +151,13 @@ class WireClient {
 };
 
 /// One bench client session: upload `instance` under `name`, then issue
-/// `solves` warm solve lines one at a time. Counts served vs refused.
+/// `solves` solve lines one at a time — the same warm line each time, or
+/// with `misses` a fresh latency cap each time, so every solve is a new
+/// cache key. Counts served vs refused.
 void run_bench_client(std::uint16_t port, const std::string& name,
                       const service::InstanceData& instance, std::size_t solves,
-                      std::atomic<std::size_t>& served, std::atomic<std::size_t>& refused) {
+                      std::atomic<std::size_t>& served, std::atomic<std::size_t>& refused,
+                      bool misses = false) {
   WireClient client(port);
   if (!client.connected()) return;
   std::string upload;
@@ -162,8 +165,12 @@ void run_bench_client(std::uint16_t port, const std::string& name,
   if (!client.send_text(upload)) return;
   // Drain the one `ok instance` response line (block lines answer nothing).
   if (client.read_line().rfind("ok instance", 0) != 0) return;
-  const std::string solve_line = "solve " + name + " obj=pareto method=heuristic sweep=16\n";
+  const std::string warm_line = "solve " + name + " obj=pareto method=heuristic sweep=16\n";
   for (std::size_t i = 0; i < solves; ++i) {
+    const std::string solve_line =
+        misses ? "solve " + name + " obj=minfp method=heuristic threshold=" +
+                     std::to_string(1'000'000 + i) + '\n'
+               : warm_line;
     if (!client.send_text(solve_line)) return;
     const int reply = client.read_reply();
     if (reply < 0) return;
@@ -285,16 +292,15 @@ void print_tables() {
 
   // Saturation: a tiny admission queue (high watermark 2) under 16 clients —
   // measures what fraction of offered load the broker sheds as `overloaded`
-  // instead of queueing without bound. Structured refusals, no hangs.
+  // instead of queueing without bound. Structured refusals, no hangs. Cache
+  // hits never queue (solve_batched answers them on the session thread), so
+  // every request here is a miss: a single-cap heuristic solve.
   double shed_rate = 0.0;
   {
     service::BrokerOptions saturated_options;
     saturated_options.queue_high_watermark = 2;
     saturated_options.queue_low_watermark = 1;
     service::Broker saturated(saturated_options);
-    for (const service::SolveRequest& request : requests) {
-      if (!saturated.solve(request).has_value()) std::exit(1);  // warm its cache
-    }
     auto bound = service::TcpServer::bind_localhost(0);
     if (!bound.has_value()) std::exit(1);
     service::TcpServer tcp = std::move(bound.value());
@@ -309,7 +315,7 @@ void print_tables() {
       for (std::size_t c = 0; c < 16; ++c) {
         clients.emplace_back([&, c] {
           run_bench_client(tcp.port(), "sat" + std::to_string(c),
-                           requests[c % requests.size()].instance, 12, ok, err);
+                           requests[c % requests.size()].instance, 12, ok, err, true);
         });
       }
       for (std::thread& client : clients) client.join();

@@ -16,18 +16,18 @@ void check_positive_finite(std::span<const double> values, const char* what) {
   }
 }
 
-/// True iff all off-diagonal link bandwidths and all in/out bandwidths share
-/// one common value. The paper's Communication Homogeneous class assumes
-/// "identical links"; equations (1) use the same b for the in/out transfers,
-/// so the special links must match too.
-bool links_identical(const std::vector<std::vector<double>>& link, std::span<const double> in,
+/// True iff all off-diagonal link bandwidths (row-major m-by-m `link`) and
+/// all in/out bandwidths share one common value. The paper's Communication
+/// Homogeneous class assumes "identical links"; equations (1) use the same b
+/// for the in/out transfers, so the special links must match too.
+bool links_identical(std::span<const double> link, std::span<const double> in,
                      std::span<const double> out) {
   const double b = in.front();
   const std::size_t m = in.size();
   for (std::size_t u = 0; u < m; ++u) {
     if (in[u] != b || out[u] != b) return false;
     for (std::size_t v = 0; v < m; ++v) {
-      if (u != v && link[u][v] != b) return false;
+      if (u != v && link[u * m + v] != b) return false;
     }
   }
   return true;
@@ -53,11 +53,10 @@ std::string to_string(FailureClass c) {
 }
 
 Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs,
-                   std::vector<std::vector<double>> link_bandwidth,
+                   const std::vector<std::vector<double>>& link_bandwidth,
                    std::vector<double> in_bandwidth, std::vector<double> out_bandwidth)
     : speeds_(std::move(speeds)),
       failure_probs_(std::move(failure_probs)),
-      link_bandwidth_(std::move(link_bandwidth)),
       in_bandwidth_(std::move(in_bandwidth)),
       out_bandwidth_(std::move(out_bandwidth)),
       comm_class_(CommClass::FullyHeterogeneous),
@@ -65,8 +64,8 @@ Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs
   const std::size_t m = speeds_.size();
   RELAP_ASSERT(m >= 1, "platform needs at least one processor");
   RELAP_ASSERT(failure_probs_.size() == m, "need one failure probability per processor");
-  RELAP_ASSERT(link_bandwidth_.size() == m, "link bandwidth matrix must be m-by-m");
-  for (const auto& row : link_bandwidth_) {
+  RELAP_ASSERT(link_bandwidth.size() == m, "link bandwidth matrix must be m-by-m");
+  for (const auto& row : link_bandwidth) {
     RELAP_ASSERT(row.size() == m, "link bandwidth matrix must be m-by-m");
   }
   RELAP_ASSERT(in_bandwidth_.size() == m, "need one P_in bandwidth per processor");
@@ -78,7 +77,7 @@ Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs
   for (std::size_t u = 0; u < m; ++u) {
     for (std::size_t v = 0; v < m; ++v) {
       if (u == v) continue;
-      RELAP_ASSERT(std::isfinite(link_bandwidth_[u][v]) && link_bandwidth_[u][v] > 0.0,
+      RELAP_ASSERT(std::isfinite(link_bandwidth[u][v]) && link_bandwidth[u][v] > 0.0,
                    "link bandwidths must be finite and > 0");
     }
   }
@@ -90,7 +89,7 @@ Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs
   flat_bandwidth_.resize(m * m);
   for (std::size_t u = 0; u < m; ++u) {
     for (std::size_t v = 0; v < m; ++v) {
-      flat_bandwidth_[u * m + v] = u == v ? 1.0 : link_bandwidth_[u][v];
+      flat_bandwidth_[u * m + v] = u == v ? 1.0 : link_bandwidth[u][v];
     }
   }
 
@@ -110,7 +109,7 @@ Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs
     }
   }
 
-  const bool comm_hom = links_identical(link_bandwidth_, in_bandwidth_, out_bandwidth_);
+  const bool comm_hom = links_identical(flat_bandwidth_, in_bandwidth_, out_bandwidth_);
   const bool speed_hom =
       std::all_of(speeds_.begin(), speeds_.end(), [&](double s) { return s == speeds_.front(); });
   if (comm_hom) {
@@ -134,7 +133,7 @@ double Platform::failure_prob(ProcessorId u) const {
 double Platform::bandwidth(ProcessorId u, ProcessorId v) const {
   RELAP_ASSERT(u < speeds_.size() && v < speeds_.size(), "processor id out of range");
   RELAP_ASSERT(u != v, "intra-processor bandwidth is undefined (communication is free)");
-  return link_bandwidth_[u][v];
+  return flat_bandwidth_[u * speeds_.size() + v];
 }
 
 double Platform::bandwidth_in(ProcessorId u) const {

@@ -57,8 +57,8 @@ class Platform {
   /// intra-processor transfers are free); speeds and bandwidths are finite
   /// and strictly positive; failure probabilities lie in [0, 1].
   Platform(std::vector<double> speeds, std::vector<double> failure_probs,
-           std::vector<std::vector<double>> link_bandwidth, std::vector<double> in_bandwidth,
-           std::vector<double> out_bandwidth);
+           const std::vector<std::vector<double>>& link_bandwidth,
+           std::vector<double> in_bandwidth, std::vector<double> out_bandwidth);
 
   /// Number of processors m (excluding P_in / P_out).
   [[nodiscard]] std::size_t processor_count() const { return speeds_.size(); }
@@ -157,7 +157,6 @@ class Platform {
  private:
   std::vector<double> speeds_;
   std::vector<double> failure_probs_;
-  std::vector<std::vector<double>> link_bandwidth_;
   std::vector<double> in_bandwidth_;
   std::vector<double> out_bandwidth_;
   std::vector<double> flat_bandwidth_;  // row-major m*m; diagonal = 1.0 (see accessor)

@@ -48,23 +48,50 @@ bool deadline_expired(double deadline, double elapsed) {
   return deadline >= 0.0 && elapsed >= deadline;
 }
 
+/// Bytes the knobs append to the canonical instance bytes in a full cache
+/// key: objective, method, threshold, budget, sweep size.
+constexpr std::size_t kKnobSuffixBytes = 1 + 1 + 8 + 8 + 8;
+
 }  // namespace
 
 Broker::Broker(BrokerOptions options) : options_(options), cache_(options.cache) {}
 
+std::optional<util::Error> Broker::oversized(std::size_t stages, std::size_t processors) const {
+  if (stages > options_.max_stages) {
+    return util::make_error("oversized", "request has " + std::to_string(stages) +
+                                             " stages, broker admits at most " +
+                                             std::to_string(options_.max_stages));
+  }
+  if (processors > options_.max_processors) {
+    return util::make_error("oversized", "request has " + std::to_string(processors) +
+                                             " processors, broker admits at most " +
+                                             std::to_string(options_.max_processors));
+  }
+  return std::nullopt;
+}
+
+std::shared_ptr<const PreparedInstance> Broker::prepare(const InstanceData& instance) const {
+  const std::size_t stages = instance.stages.size();
+  const std::size_t processors = instance.processors.size();
+  // The caps read the record counts only: an instance they refuse is never
+  // canonicalized, however large the wire caps let it grow.
+  if (std::optional<util::Error> refused = oversized(stages, processors)) {
+    return std::make_shared<const PreparedInstance>(
+        PreparedInstance{stages, processors, std::move(*refused)});
+  }
+  const auto start = std::chrono::steady_clock::now();
+  auto prepared = std::make_shared<const PreparedInstance>(
+      PreparedInstance{stages, processors, canonicalize(instance)});
+  metrics_.prepare.record(elapsed_seconds(start));
+  return prepared;
+}
+
 util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) const {
   const auto start = std::chrono::steady_clock::now();
-  if (request.instance.stages.size() > options_.max_stages) {
-    return util::make_error("oversized",
-                            "request has " + std::to_string(request.instance.stages.size()) +
-                                " stages, broker admits at most " +
-                                std::to_string(options_.max_stages));
-  }
-  if (request.instance.processors.size() > options_.max_processors) {
-    return util::make_error("oversized",
-                            "request has " + std::to_string(request.instance.processors.size()) +
-                                " processors, broker admits at most " +
-                                std::to_string(options_.max_processors));
+  std::shared_ptr<const PreparedInstance> prepared =
+      request.prepared ? request.prepared : prepare(request.instance);
+  if (std::optional<util::Error> refused = oversized(prepared->stages, prepared->processors)) {
+    return std::move(*refused);
   }
   if (request.max_evaluations == 0) {
     return util::make_error("malformed", "max_evaluations must be > 0");
@@ -91,16 +118,16 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
     }
   }
 
-  util::Expected<CanonicalInstance> canonical = canonicalize(request.instance);
-  if (!canonical.has_value()) return canonical.error();
+  if (!prepared->canonical.has_value()) return prepared->canonical.error();
 
-  Admitted admitted{std::move(canonical).take(), std::string(), 0, 0.0, 0.0};
+  Admitted admitted{std::move(prepared), std::string(), 0, 0.0, 0.0};
+  const CanonicalInstance& canonical = admitted.canonical();
   // Thresholds live in caller time units; the canonical form's latency axis
   // is scaled by time_scale (an exact power of two), so the cap converts
   // exactly too. FP caps are dimensionless.
   switch (request.objective) {
     case Objective::MinFpForLatency:
-      admitted.threshold_canonical = request.threshold * admitted.canonical.time_scale;
+      admitted.threshold_canonical = request.threshold * canonical.time_scale;
       break;
     case Objective::MinLatencyForFp:
       admitted.threshold_canonical = request.threshold;
@@ -113,7 +140,8 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
   // Full cache key: canonical instance bytes plus every knob that can change
   // the solved front. pareto_thresholds only shapes ParetoFront sweeps, so
   // it is zeroed otherwise to keep unrelated requests on one key.
-  admitted.full_key = admitted.canonical.key_bytes;
+  admitted.full_key.reserve(canonical.key_bytes.size() + kKnobSuffixBytes);
+  admitted.full_key.append(canonical.key_bytes);
   admitted.full_key.push_back(static_cast<char>(request.objective));
   admitted.full_key.push_back(static_cast<char>(request.method));
   util::bytes::append_double_le(admitted.full_key, admitted.threshold_canonical);
@@ -122,7 +150,11 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
                              request.objective == Objective::ParetoFront
                                  ? static_cast<std::uint64_t>(request.pareto_thresholds)
                                  : 0);
-  admitted.full_hash = util::fnv1a(admitted.full_key);
+  // FNV-1a streams: chaining from the canonical bytes' hash over the knob
+  // suffix gives fnv1a(full_key) without rehashing the instance.
+  util::Fnv1a full_hash(canonical.key_hash);
+  full_hash.add(std::string_view(admitted.full_key).substr(canonical.key_bytes.size()));
+  admitted.full_hash = full_hash.value();
   admitted.canonicalize_seconds = elapsed_seconds(start);
   return admitted;
 }
@@ -145,8 +177,8 @@ util::Expected<algorithms::FrontReport> Broker::solve_canonical(
   options.heuristic.pool = options_.pool;
   options.heuristic.cancel = cancel;
 
-  const pipeline::Pipeline& pipeline = admitted.canonical.pipeline;
-  const platform::Platform& platform = admitted.canonical.platform;
+  const pipeline::Pipeline& pipeline = admitted.canonical().pipeline;
+  const platform::Platform& platform = admitted.canonical().platform;
 
   if (knobs.objective == Objective::ParetoFront) {
     return algorithms::solve_pareto_front(pipeline, platform, options);
@@ -173,11 +205,11 @@ Reply Broker::make_reply(const Admitted& admitted, const algorithms::FrontReport
                          bool cache_hit, TraceSpans spans) const {
   const auto start = std::chrono::steady_clock::now();
   Reply reply;
-  reply.front = denormalize_front(admitted.canonical, report.front);
+  reply.front = denormalize_front(admitted.canonical(), report.front);
   reply.algorithm = report.algorithm;
   reply.exact = report.exact;
   reply.cache_hit = cache_hit;
-  reply.canonical_hash = admitted.canonical.key_hash;
+  reply.canonical_hash = admitted.canonical().key_hash;
   spans.denormalize_seconds = elapsed_seconds(start);
   reply.solve_seconds = spans.solve_seconds;
   reply.spans = spans;
@@ -186,6 +218,18 @@ Reply Broker::make_reply(const Admitted& admitted, const algorithms::FrontReport
                           spans.cache_probe_seconds + spans.solve_seconds +
                           spans.denormalize_seconds);
   return reply;
+}
+
+std::shared_ptr<const algorithms::FrontReport> Broker::reply_from_cache(
+    const Admitted& admitted, TraceSpans& spans, bool count_miss,
+    std::optional<util::Expected<Reply>>& reply) {
+  const auto start = std::chrono::steady_clock::now();
+  std::shared_ptr<const algorithms::FrontReport> report =
+      cache_.find(admitted.full_hash, admitted.full_key, count_miss);
+  spans.cache_probe_seconds = elapsed_seconds(start);
+  if (report || count_miss) metrics_.cache_probe.record(spans.cache_probe_seconds);
+  if (report) reply = make_reply(admitted, *report, true, spans);
+  return report;
 }
 
 util::Expected<Reply> Broker::solve(const SolveRequest& request) {
@@ -216,6 +260,13 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
   const auto queue_wait_of = [&](std::size_t i) {
     return queue_waits.empty() ? 0.0 : queue_waits[i];
   };
+  /// The spans ticket i brings to dispatch: its queue wait and admission.
+  const auto spans_of = [&](std::size_t i) {
+    TraceSpans spans;
+    spans.queue_wait_seconds = queue_wait_of(i);
+    spans.canonicalize_seconds = admitted(i).canonicalize_seconds;
+    return spans;
+  };
   // Deadline budgets are measured against the queue wait plus any armed
   // clock skew (faultpoint.hpp); `batch_start` anchors the mid-solve
   // cancellation deadlines below.
@@ -225,7 +276,6 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
   // Group requests with equal full keys (first-seen order): one solve per
   // group, everyone else rides the cache.
   struct Group {
-    std::uint64_t hash = 0;
     std::vector<std::size_t> members;
     int priority = 0;
     double deadline = 0.0;
@@ -257,8 +307,7 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
     const std::string_view key = admitted(i).full_key;
     auto [it, inserted] = group_of.try_emplace(key, groups.size());
     if (inserted) {
-      groups.push_back(
-          Group{admitted(i).full_hash, {i}, knobs.priority, knobs.deadline, i, remaining});
+      groups.push_back(Group{{i}, knobs.priority, knobs.deadline, i, remaining});
     } else {
       Group& group = groups[it->second];
       group.members.push_back(i);
@@ -294,15 +343,9 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
                               std::chrono::duration<double>(group.remaining)));
     }
 
-    TraceSpans lead_spans;
-    lead_spans.queue_wait_seconds = queue_wait_of(lead_index);
-    lead_spans.canonicalize_seconds = lead.canonicalize_seconds;
-
-    const auto probe_start = std::chrono::steady_clock::now();
-    std::shared_ptr<const algorithms::FrontReport> report = cache_.find(group.hash, lead.full_key);
-    lead_spans.cache_probe_seconds = elapsed_seconds(probe_start);
-    metrics_.cache_probe.record(lead_spans.cache_probe_seconds);
-    const bool lead_hit = report != nullptr;
+    TraceSpans lead_spans = spans_of(lead_index);
+    std::shared_ptr<const algorithms::FrontReport> report =
+        reply_from_cache(lead, lead_spans, true, staged[lead_index]);
     if (!report) {
       metrics_.solves_total.add(1);
       // Fault point: a stalled solver thread — how the tests drive the
@@ -357,26 +400,20 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
         return;
       }
       report = std::make_shared<const algorithms::FrontReport>(std::move(solved).take());
-      cache_.insert(group.hash, lead.full_key, report);
-      journal_insert(group.hash, lead.full_key, report);
+      cache_.insert(lead.full_hash, lead.full_key, report);
+      journal_insert(lead.full_hash, lead.full_key, report);
+      staged[lead_index] = make_reply(lead, *report, false, lead_spans);
     }
-    staged[lead_index] = make_reply(lead, *report, lead_hit, lead_spans);
 
     // Deduped members re-probe so the hit counters reflect them; the local
     // report backstops the (theoretical) eviction race within one batch.
     for (std::size_t k = 1; k < group.members.size(); ++k) {
       const std::size_t member = group.members[k];
       metrics_.deduped_total.add(1);
-      TraceSpans member_spans;
-      member_spans.queue_wait_seconds = queue_wait_of(member);
-      member_spans.canonicalize_seconds = admitted(member).canonicalize_seconds;
-      const auto member_probe_start = std::chrono::steady_clock::now();
-      std::shared_ptr<const algorithms::FrontReport> cached =
-          cache_.find(group.hash, admitted(member).full_key);
-      member_spans.cache_probe_seconds = elapsed_seconds(member_probe_start);
-      metrics_.cache_probe.record(member_spans.cache_probe_seconds);
-      staged[member] =
-          make_reply(admitted(member), cached ? *cached : *report, true, member_spans);
+      TraceSpans member_spans = spans_of(member);
+      if (!reply_from_cache(admitted(member), member_spans, true, staged[member])) {
+        staged[member] = make_reply(admitted(member), *report, true, member_spans);
+      }
     }
   });
 
@@ -487,6 +524,21 @@ std::vector<Broker::Drained> Broker::drain() {
 
 util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
   Ticket ticket = make_ticket(request);
+  // Hit fast path: a request that would pass dispatch's checks at zero
+  // queue wait (a direct solve's rule) probes the cache on this thread and,
+  // on a hit, is answered here — no queue, no drainer, no batch. Its miss is
+  // not counted: the queue path below probes again and counts it once.
+  if (!shutting_down() && ticket.admitted.has_value() &&
+      !deadline_expired(ticket.knobs.deadline, clock_skew_seconds())) {
+    TraceSpans spans;
+    spans.canonicalize_seconds = ticket.admitted->canonicalize_seconds;
+    std::optional<util::Expected<Reply>> hit;
+    if (reply_from_cache(*ticket.admitted, spans, false, hit)) {
+      metrics_.requests_total.add(1);
+      metrics_.canonicalize.record(spans.canonicalize_seconds);
+      return std::move(*hit);
+    }
+  }
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (shutting_down()) return shutting_down_error();
   const std::uint64_t id = ticket.id = next_ticket_++;

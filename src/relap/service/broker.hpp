@@ -10,6 +10,9 @@
 ///      oversized instances with code "oversized"; nonsense scheduling or
 ///      solver parameters reject with "malformed". No library type is
 ///      constructed yet, so malformed requests can never trip an assert.
+///      The order is fixed: a spent deadline (checked at dispatch), then
+///      "oversized", then the knobs ("malformed"/"infeasible"), then the
+///      instance's own "malformed".
 ///   2. **Canonicalization** (canonical.hpp): validation, stage ordering,
 ///      exact power-of-two scale normalization and deterministic processor
 ///      relabeling. The broker *always* solves the canonical form — that is
@@ -69,12 +72,19 @@
 /// Every entry point runs steps 1-2 (admission, canonicalization, full cache
 /// key) on the caller's thread and hands the outcome to one dispatch core,
 /// which enforces the deadline, groups, orders and runs steps 3-5.
+/// Canonicalization is the `prepare` step: a request either carries an
+/// instance `prepare`d earlier (a session prepares each upload once and
+/// reuses it for every solve that names it) or raw records that admission
+/// prepares the same way; the prepared form is shared, never copied.
 /// `solve_batched` is the concurrent serving entry point: each session
-/// admits its request, submits the outcome into the shared queue and blocks
-/// for its own reply; one session drains the batch for everyone
-/// (waiter/drainer), so concurrent tenants coalesce into the same dedup +
-/// priority dispatch a single `solve_batch` call gets, while admission runs
-/// in parallel on the sessions' own threads.
+/// admits its request and probes the cache on its own thread. A hit is
+/// answered right there — it never queues, so it is never shed, never
+/// priority-ordered and records no queue wait. A miss (or a request that
+/// failed admission, has no budget left, or arrives during shutdown)
+/// submits its outcome into the shared queue and blocks for its own reply;
+/// one session drains the batch for everyone (waiter/drainer), so
+/// concurrent tenants coalesce into the same dedup + priority dispatch a
+/// single `solve_batch` call gets.
 
 #include <atomic>
 #include <chrono>
@@ -82,6 +92,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -134,13 +145,16 @@ class Broker {
   [[nodiscard]] std::vector<util::Expected<Reply>> solve_batch(
       std::span<const SolveRequest> requests);
 
-  /// Serves one request through the shared submit/drain queue, blocking
-  /// until its reply is ready. Each caller admits its own request before it
-  /// queues; concurrent callers then coalesce: one caller dispatches the
+  /// Serves one request, blocking until its reply is ready. This is the
+  /// concurrent TCP front's entry point. Each caller admits its own request
+  /// and probes the cache on its own thread: a hit (shutdown not begun,
+  /// admission passed, budget unspent at zero queue wait plus any armed
+  /// clock skew — a direct `solve`'s rule) is answered at once and never
+  /// enters the queue. Everything else goes through the shared submit/drain
+  /// queue, where concurrent callers coalesce: one caller dispatches the
   /// batch for everyone (dedup and priority dispatch apply *across*
-  /// callers), the others wait on their tickets. This is the concurrent TCP
-  /// front's entry point. Shed / shutdown outcomes surface as "overloaded"
-  /// / "shutting-down" errors.
+  /// callers), the others wait on their tickets. Shed / shutdown outcomes
+  /// surface as "overloaded" / "shutting-down" errors.
   [[nodiscard]] util::Expected<Reply> solve_batched(const SolveRequest& request);
 
   /// Admits a request on the calling thread and queues the outcome for the
@@ -148,6 +162,14 @@ class Broker {
   /// ticket resolves to a "shutting-down" error; a submit that overflows the
   /// high watermark sheds (see BrokerOptions).
   std::uint64_t submit(const SolveRequest& request);
+
+  /// Prepares `instance` for any number of later solves
+  /// (`SolveRequest::prepared`): checks the stage and processor caps on the
+  /// record counts and only within them canonicalizes. Never fails — a
+  /// refused instance carries its error to each solve that names it, which
+  /// reports it in admission order.
+  [[nodiscard]] std::shared_ptr<const PreparedInstance> prepare(
+      const InstanceData& instance) const;
 
   /// Number of submitted, not-yet-drained requests.
   [[nodiscard]] std::size_t pending() const;
@@ -238,11 +260,15 @@ class Broker {
  private:
   /// A request that passed admission + canonicalization, ready to dispatch.
   struct Admitted {
-    CanonicalInstance canonical;
+    /// Shared with the session's upload (or this request alone for raw
+    /// records); always holds a canonical form.
+    std::shared_ptr<const PreparedInstance> prepared;
     std::string full_key;        ///< canonical bytes + objective/knob suffix
     std::uint64_t full_hash = 0;
     double threshold_canonical = 0.0;
     double canonicalize_seconds = 0.0;
+
+    [[nodiscard]] const CanonicalInstance& canonical() const { return *prepared->canonical; }
   };
 
   /// One request on its way to dispatch: its admission outcome and the
@@ -254,6 +280,9 @@ class Broker {
     std::chrono::steady_clock::time_point submitted;  ///< queued (admission done)
   };
 
+  /// The "oversized" error for these record counts, if the caps refuse them.
+  [[nodiscard]] std::optional<util::Error> oversized(std::size_t stages,
+                                                     std::size_t processors) const;
   [[nodiscard]] util::Expected<Admitted> admit(const SolveRequest& request) const;
   /// Admits `request` on the calling thread; the ticket's id is 0 until the
   /// caller queues it.
@@ -262,6 +291,14 @@ class Broker {
       const SolveKnobs& knobs, const Admitted& admitted, const util::CancelToken* cancel) const;
   [[nodiscard]] Reply make_reply(const Admitted& admitted, const algorithms::FrontReport& report,
                                  bool cache_hit, TraceSpans spans) const;
+  /// The one cache-hit path, shared by dispatch and `solve_batched`'s fast
+  /// path: probes the cache for `admitted` and on a hit builds its reply
+  /// into `reply`. Returns the cached front, or null on a miss. The probe is
+  /// timed into `spans` and the `cache_probe` histogram; a miss with
+  /// `count_miss` false (a probe the queue path repeats) is recorded nowhere.
+  std::shared_ptr<const algorithms::FrontReport> reply_from_cache(
+      const Admitted& admitted, TraceSpans& spans, bool count_miss,
+      std::optional<util::Expected<Reply>>& reply);
   /// The one dispatch path behind every entry point: dequeue-time deadline
   /// check, admission outcome, dedup grouping, priority order, then solve
   /// or cache probe per group. `queue_waits` (empty for direct calls, else

@@ -20,7 +20,8 @@ FrontCache::FrontCache(Options options) {
 }
 
 std::shared_ptr<const algorithms::FrontReport> FrontCache::find(std::uint64_t hash,
-                                                                std::string_view key) {
+                                                                std::string_view key,
+                                                                bool count_miss) {
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto [first, last] = shard.index.equal_range(hash);
@@ -31,7 +32,7 @@ std::shared_ptr<const algorithms::FrontReport> FrontCache::find(std::uint64_t ha
       return it->second->value;
     }
   }
-  ++shard.misses;
+  if (count_miss) ++shard.misses;
   return nullptr;
 }
 

@@ -56,9 +56,12 @@ class FrontCache {
   FrontCache& operator=(const FrontCache&) = delete;
 
   /// Looks up `key` (pre-hashed as `hash`); bumps the entry to
-  /// most-recently-used and counts a hit, or counts a miss and returns null.
+  /// most-recently-used and counts a hit, or returns null and counts a miss
+  /// unless `count_miss` is false (a probe the caller repeats on its miss
+  /// path, so each request counts one hit or one miss).
   [[nodiscard]] std::shared_ptr<const algorithms::FrontReport> find(std::uint64_t hash,
-                                                                    std::string_view key);
+                                                                    std::string_view key,
+                                                                    bool count_miss = true);
 
   /// Inserts a solved front, evicting the shard's least-recently-used entry
   /// beyond capacity. Re-inserting an existing key refreshes recency and

@@ -61,6 +61,19 @@ struct CanonicalInstance {
   std::uint64_t key_hash = 0;
 };
 
+/// An instance prepared once for any number of solves (`Broker::prepare`;
+/// a session prepares each upload): the record counts admission's size caps
+/// read, and the canonical form — or why there is none. An instance over the
+/// broker's caps is never canonicalized and carries the "oversized" error;
+/// one that fails validation carries canonicalize's "malformed" error.
+/// Admission reports either in its fixed order (broker.hpp), so a solve of a
+/// prepared instance answers exactly what a solve of the raw records would.
+struct PreparedInstance {
+  std::size_t stages = 0;
+  std::size_t processors = 0;
+  util::Expected<CanonicalInstance> canonical;
+};
+
 /// Validates `instance` and produces its canonical form. Malformed input
 /// (empty pipeline, zero-processor platform, bad position permutation,
 /// non-finite or out-of-range values, ragged link rows) yields a structured

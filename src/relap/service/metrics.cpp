@@ -105,6 +105,7 @@ std::string ServiceMetrics::to_json() const {
   first = true;
   append_histogram(out, "queue_wait", queue_wait, first);
   append_histogram(out, "canonicalize", canonicalize, first);
+  append_histogram(out, "prepare", prepare, first);
   append_histogram(out, "cache_probe", cache_probe, first);
   append_histogram(out, "solve", solve, first);
   append_histogram(out, "denormalize", denormalize, first);

@@ -116,7 +116,12 @@ struct ServiceMetrics {
   Gauge recovery_seconds;                  ///< wall time of the last recover()
 
   LatencyHistogram queue_wait;    ///< submit() -> drain() dispatch
-  LatencyHistogram canonicalize;  ///< admission + canonicalization
+  /// Admission on the caller's thread: caps, knobs and the full cache key,
+  /// plus `prepare` when the request carries raw records.
+  LatencyHistogram canonicalize;
+  /// Canonicalization of one instance (`Broker::prepare`): once per session
+  /// upload, once per raw-record request; never for one the caps refuse.
+  LatencyHistogram prepare;
   LatencyHistogram cache_probe;   ///< memo-cache lookup
   LatencyHistogram solve;         ///< solver dispatch (misses only)
   LatencyHistogram denormalize;   ///< reply construction

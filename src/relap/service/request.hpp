@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,7 +106,8 @@ struct SolveKnobs {
   int priority = 0;
   /// Wall-clock budget in **seconds**, measured from the moment the request
   /// enters the queue, right after its admission on the caller's thread (or
-  /// from dispatch for a direct `solve`). Besides ordering requests within a
+  /// from dispatch for a direct `solve` and for a `solve_batched` cache hit,
+  /// which never queues). Besides ordering requests within a
   /// priority level (tighter first), the deadline is enforced: a request
   /// whose budget is already spent when its batch dispatches is rejected
   /// with code "deadline-exceeded" (deadline 0 deterministically expires),
@@ -127,18 +129,27 @@ struct SolveKnobs {
   std::size_t pareto_thresholds = 24;
 };
 
+struct PreparedInstance;  // canonical.hpp
+
 /// One unit of work for the broker.
 struct SolveRequest : SolveKnobs {
   InstanceData instance;
+  /// The instance already prepared by the serving broker's `prepare` (a
+  /// session prepares each upload once and shares it with every solve that
+  /// names it). When set, admission reads it and ignores `instance`.
+  std::shared_ptr<const PreparedInstance> prepared;
 };
 
 /// Wall-clock breakdown of one request's trip through the broker — the
 /// per-request twin of the aggregate histograms in metrics.hpp. All values
-/// are seconds; spans that did not occur (queue wait on a direct `solve`,
-/// solve on a cache hit) are 0.
+/// are seconds; spans that did not occur (queue wait on a direct `solve` or
+/// on a `solve_batched` hit, which never queues; solve on a cache hit) are 0.
 struct TraceSpans {
   double queue_wait_seconds = 0.0;    ///< submit() -> batch dispatch
-  double canonicalize_seconds = 0.0;  ///< admission + canonicalization
+  /// Admission: caps, knobs and the full cache key, plus canonicalization
+  /// when the request carries raw records (a session's solve reuses the
+  /// form its upload prepared).
+  double canonicalize_seconds = 0.0;
   double cache_probe_seconds = 0.0;   ///< memo-cache lookup
   double solve_seconds = 0.0;         ///< solver dispatch (0 on hits)
   double denormalize_seconds = 0.0;   ///< reply construction

@@ -182,7 +182,7 @@ void Session::handle_block_line(std::string_view line, std::string& out) {
     out += " stages=" + std::to_string(block_instance_.stages.size());
     out += " processors=" + std::to_string(m);
     out += '\n';
-    instances_[block_name_] = std::move(block_instance_);
+    instances_[block_name_] = broker_.prepare(block_instance_);
     block_instance_ = InstanceData{};
     return;
   }
@@ -281,7 +281,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   }
 
   SolveRequest request;
-  request.instance = it->second;
+  request.prepared = it->second;
   request.objective = Objective::ParetoFront;
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string_view token = tokens[i];
@@ -469,6 +469,10 @@ namespace {
 /// How often blocked reads re-check the stop flag and the idle clock.
 constexpr int kPollSliceMs = 50;
 
+/// Longest unterminated line a connection buffers: 10x the longest legal
+/// line (a `proc` record with 4096 links is about 100 KB).
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Writes the whole buffer, retrying short sends (the "server.short_write"
 /// fault point forces 1-byte sends to keep that retry loop tested). With a
 /// write timeout, a peer that stops draining forfeits the connection. False
@@ -547,9 +551,11 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
       peer_gone = received == 0 && pending.empty();
       break;
     }
+    // Bytes already buffered hold no '\n': only the new ones are scanned.
+    const std::size_t scanned = pending.size();
     pending.append(buffer, static_cast<std::size_t>(received));
     std::size_t start = 0;
-    for (std::size_t newline = pending.find('\n', start);
+    for (std::size_t newline = pending.find('\n', scanned);
          alive && newline != std::string::npos; newline = pending.find('\n', start)) {
       std::string_view line(pending.data() + start, newline - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);  // telnet friendliness
@@ -559,6 +565,12 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
       start = newline + 1;
     }
     pending.erase(0, start);
+    if (alive && pending.size() > kMaxLineBytes) {
+      (void)send_all(conn,
+                     "err 0 oversized line exceeds " + std::to_string(kMaxLineBytes) + " bytes\n",
+                     options.write_timeout_ms);
+      alive = false;
+    }
   }
   // A final unterminated line (EOF mid-line) still gets served before the
   // peer goes away.

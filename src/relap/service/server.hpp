@@ -63,6 +63,8 @@
 ///   - connections past `max_connections`: `err overloaded ...`, closed.
 ///   - a connection idle past `read_timeout_ms`: `err timeout ...`, reaped.
 ///   - a peer not draining its responses past `write_timeout_ms`: closed.
+///   - an unterminated line past 1 MiB: `err 0 oversized ...`, closed (the
+///     read buffer never grows past the cap plus one read).
 ///   - lines arriving after a stop request: `err shutting-down ...`.
 /// A `shutdown` command (or `request_stop()`, e.g. from a SIGTERM handler)
 /// stops the accept loop, lets in-flight lines finish, and — for the
@@ -71,6 +73,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -94,7 +97,9 @@ struct SessionOptions {
 
 /// One protocol session: feeds lines in, accumulates response lines.
 /// Stateful: named instances registered by `instance ... end` blocks live
-/// for the session, and an in-progress block spans multiple lines.
+/// for the session, and an in-progress block spans multiple lines. Each
+/// upload is prepared once (`Broker::prepare`: caps, then canonicalization)
+/// and only that prepared form is kept; every `solve` naming it shares it.
 class Session {
  public:
   using Options = SessionOptions;
@@ -121,7 +126,7 @@ class Session {
 
   Broker& broker_;
   Options options_;
-  std::unordered_map<std::string, InstanceData> instances_;
+  std::unordered_map<std::string, std::shared_ptr<const PreparedInstance>> instances_;
   std::uint64_t seq_ = 0;  ///< protocol lines handled (the `err <seq>` ordinal)
 
   // In-progress `instance` block.

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +23,7 @@
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/canonical.hpp"
+#include "relap/service/faultpoint.hpp"
 #include "relap/util/rng.hpp"
 
 namespace relap::service {
@@ -643,6 +646,195 @@ TEST(Broker, ConcurrentSolveBatchedCoalescesOntoOneSolve) {
   // Dedup/caching collapse all eight sessions onto exactly one solve.
   EXPECT_EQ(broker.metrics().solves_total.value(), 1U);
   EXPECT_EQ(broker.metrics().requests_total.value(), kSessions);
+}
+
+// --- The hit fast path and prepared instances. ------------------------------
+
+TEST(Broker, SolveBatchedHitReturnsWhileAMissIsStalledMidSolve) {
+  faultpoint::clear();
+  Broker broker;
+  const SolveRequest cached = valid_request();
+  const auto cold = broker.solve(cached);
+  ASSERT_TRUE(cold.has_value());
+
+  faultpoint::ArmOptions stall;
+  stall.value = 1.0;  // seconds the miss below sleeps inside its solve
+  faultpoint::arm("broker.solve_stall", stall);
+  std::atomic<bool> miss_done{false};
+  std::thread miss([&] {
+    SolveRequest request = valid_request();
+    request.instance = small_instance(41, 3, 3);
+    EXPECT_TRUE(broker.solve_batched(request).has_value());
+    miss_done.store(true);
+  });
+  // Once the miss is stalled mid-solve (its caller is the queue's drainer),
+  // a cached key is answered on this thread without waiting for it.
+  while (faultpoint::hits("broker.solve_stall") == 0) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  const auto hit = broker.solve_batched(cached);
+  const std::chrono::duration<double> waited = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(miss_done.load());
+  EXPECT_LT(waited.count(), 0.5);
+  miss.join();
+  faultpoint::clear();
+
+  ASSERT_TRUE(hit.has_value()) << hit.error().to_string();
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->spans.queue_wait_seconds, 0.0);
+  ASSERT_EQ(hit->front.size(), cold->front.size());
+  for (std::size_t i = 0; i < cold->front.size(); ++i) {
+    EXPECT_TRUE(bits_equal(hit->front[i].latency, cold->front[i].latency));
+    EXPECT_TRUE(bits_equal(hit->front[i].failure_probability, cold->front[i].failure_probability));
+  }
+  EXPECT_EQ(broker.metrics().solves_total.value(), 2U);
+  // The hit never queued: no queue-wait sample, no batch.
+  EXPECT_EQ(broker.metrics().queue_wait.count(), 1U);
+  EXPECT_EQ(broker.metrics().batches_total.value(), 2U);
+}
+
+TEST(Broker, CachedKeyStillAnswersShutdownAndSpentDeadlines) {
+  faultpoint::clear();
+  Broker broker;
+  SolveRequest request = valid_request();
+  ASSERT_TRUE(broker.solve(request).has_value());
+  const std::uint64_t warm_hits = broker.cache_stats().hits;
+
+  // A spent budget outranks the cached answer: deadline 0...
+  request.deadline = 0.0;
+  auto reply = broker.solve_batched(request);
+  ASSERT_FALSE(reply.has_value());
+  EXPECT_EQ(reply.error().code, "deadline-exceeded");
+
+  // ...and a budget the skewed clock has spent.
+  faultpoint::ArmOptions skew;
+  skew.times = std::numeric_limits<std::uint64_t>::max();
+  skew.value = 3600.0;
+  faultpoint::arm("broker.clock_skew", skew);
+  request.deadline = 60.0;
+  reply = broker.solve_batched(request);
+  faultpoint::clear();
+  ASSERT_FALSE(reply.has_value());
+  EXPECT_EQ(reply.error().code, "deadline-exceeded");
+  EXPECT_EQ(broker.metrics().deadline_exceeded_total.value(), 2U);
+  EXPECT_EQ(broker.cache_stats().hits, warm_hits);
+
+  // With budget left the same key hits.
+  reply = broker.solve_batched(request);
+  ASSERT_TRUE(reply.has_value()) << reply.error().to_string();
+  EXPECT_TRUE(reply->cache_hit);
+
+  broker.begin_shutdown();
+  request.deadline = kInf;
+  reply = broker.solve_batched(request);
+  ASSERT_FALSE(reply.has_value());
+  EXPECT_EQ(reply.error().code, "shutting-down");
+  EXPECT_EQ(broker.metrics().solves_total.value(), 1U);
+}
+
+TEST(Broker, SolveBatchedCountsOneHitOrMissPerRequest) {
+  Broker broker;
+  std::vector<InstanceData> bases;
+  for (std::uint64_t i = 0; i < 4; ++i) bases.push_back(small_instance(50 + i, 3, 3));
+  const auto request_for = [](const InstanceData& instance) {
+    SolveRequest request;
+    request.instance = instance;
+    request.objective = Objective::ParetoFront;
+    return request;
+  };
+  // Two of the four keys are cached before the mix starts.
+  for (std::size_t i = 0; i < 2; ++i) ASSERT_TRUE(broker.solve(request_for(bases[i])).has_value());
+  const CacheStats before = broker.cache_stats();
+  const ServiceMetrics& m = broker.metrics();
+  const std::uint64_t requests_before = m.requests_total.value();
+  const std::uint64_t solves_before = m.solves_total.value();
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 12;
+  std::atomic<std::uint64_t> hit_replies{0};
+  std::atomic<std::uint64_t> rejected{0};
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t c = 0; c < kCalls; ++c) {
+          SolveRequest request = request_for(shuffled(bases[(t + c) % bases.size()], 100 * t + c));
+          if (c % 6 == 5) request.max_evaluations = 0;  // refused at admission
+          const auto reply = broker.solve_batched(request);
+          if (!reply.has_value()) {
+            EXPECT_EQ(reply.error().code, "malformed");
+            rejected.fetch_add(1);
+          } else if (reply->cache_hit) {
+            hit_replies.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  const CacheStats after = broker.cache_stats();
+  const std::uint64_t calls = kThreads * kCalls;
+  EXPECT_EQ(rejected.load(), kThreads * 2);
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses), calls - rejected.load());
+  EXPECT_EQ(after.hits - before.hits, hit_replies.load());
+  EXPECT_EQ(m.requests_total.value() - requests_before, calls);
+  // One solve per key that was not cached, however the calls interleave.
+  EXPECT_EQ(m.solves_total.value() - solves_before, 2U);
+}
+
+TEST(Broker, PreparedAndRawRequestsAdmitAlike) {
+  BrokerOptions options;
+  options.max_stages = 4;
+  options.max_processors = 4;
+  Broker broker(options);
+
+  std::vector<SolveRequest> requests;
+  requests.push_back(valid_request());
+  requests.push_back(valid_request());
+  requests.back().objective = Objective::ParetoFront;
+  requests.push_back(valid_request());
+  requests.back().instance = small_instance(28, 6, 3);  // oversized stages
+  requests.push_back(requests.back());
+  requests.back().max_evaluations = 0;  // oversized outranks the knob
+  requests.push_back(valid_request());
+  requests.back().instance = small_instance(29, 3, 6);  // oversized processors
+  requests.push_back(valid_request());
+  requests.back().instance.stages[1].position = 0;  // malformed instance
+  requests.push_back(requests.back());
+  requests.back().max_evaluations = 0;  // the knob outranks the instance
+  requests.push_back(requests.back());
+  requests.back().max_evaluations = 1'000;
+  requests.back().threshold = -1.0;
+  requests.push_back(valid_request());
+  requests.back().instance = InstanceData{};
+  requests.push_back(valid_request());
+  requests.back().threshold = std::nan("");
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto raw = broker.solve(requests[i]);
+    SolveRequest prepared = requests[i];
+    prepared.prepared = broker.prepare(prepared.instance);
+    prepared.instance = InstanceData{};
+    const auto reused = broker.solve(prepared);
+    ASSERT_EQ(raw.has_value(), reused.has_value()) << "request " << i;
+    if (!raw.has_value()) {
+      EXPECT_EQ(raw.error().code, reused.error().code) << "request " << i;
+      EXPECT_EQ(raw.error().message, reused.error().message) << "request " << i;
+      continue;
+    }
+    EXPECT_EQ(raw->canonical_hash, reused->canonical_hash);
+    EXPECT_EQ(front_checksum(raw->front), front_checksum(reused->front));
+    EXPECT_TRUE(reused->cache_hit);
+  }
+
+  // The caps read the record counts first: an instance they refuse is
+  // never canonicalized.
+  const std::uint64_t canonicalized = broker.metrics().prepare.count();
+  const auto refused = broker.prepare(small_instance(30, 3, 6));
+  ASSERT_FALSE(refused->canonical.has_value());
+  EXPECT_EQ(refused->canonical.error().code, "oversized");
+  EXPECT_EQ(refused->processors, 6U);
+  EXPECT_EQ(broker.metrics().prepare.count(), canonicalized);
 }
 
 TEST(FrontCache, ReinsertRefreshesRecencyKeepsFirstValue) {
