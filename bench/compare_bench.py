@@ -14,6 +14,11 @@ script — are the authority on reproducibility. Pass --strict-checksums to
 turn mismatches into failures (useful on a fixed CI image where any drift
 is suspicious).
 
+Byte-count keys (anything ending in ``_bytes``) pin the size of an encoded
+format, such as a snapshot file. A mismatch always warns, never fails: the
+size legitimately changes with the format, and then the baseline needs the
+new value.
+
 Metadata keys (``meta_*``) are informational: a mismatch (different
 compiler, ISA, build type...) prints a warning because throughput numbers
 from different configurations are not comparable, but does not fail.
@@ -101,6 +106,9 @@ def compare_one(current_path: str, baseline_dir: str, tolerance: float,
                 print(f"[{name}] {tag} {key}: {cur_v} vs baseline {base_v}")
                 if strict_checksums:
                     failures += 1
+        elif key.endswith("_bytes"):
+            if base_v != cur_v:
+                print(f"[{name}] warn: byte count changed {key}: {cur_v} vs baseline {base_v}")
         elif key.startswith("meta_"):
             if base_v != cur_v:
                 print(f"[{name}] warn: {key} differs (current {cur_v!r}, "

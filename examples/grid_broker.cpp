@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     }
     const service::Reply& reply = *replies[t];
     std::printf("%-7zu %-6s %-10.3f %-7zu %s\n", t, reply.cache_hit ? "warm" : "cold",
-                reply.solve_seconds * 1e3, reply.front.size(),
+                reply.spans.solve_seconds * 1e3, reply.front.size(),
                 util::Fnv1a(service::front_checksum(reply.front)).hex().c_str());
   }
   const service::CacheStats stats = broker.cache_stats();

@@ -162,7 +162,7 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
 Broker::Ticket Broker::make_ticket(const SolveRequest& request) const {
   // Braced initializers run in order: the queue clock starts once admission
   // is done.
-  return Ticket{0, request, admit(request), std::chrono::steady_clock::now()};
+  return Ticket{request, admit(request), std::chrono::steady_clock::now()};
 }
 
 util::Expected<algorithms::FrontReport> Broker::solve_canonical(
@@ -211,7 +211,6 @@ Reply Broker::make_reply(const Admitted& admitted, const algorithms::FrontReport
   reply.cache_hit = cache_hit;
   reply.canonical_hash = admitted.canonical().key_hash;
   spans.denormalize_seconds = elapsed_seconds(start);
-  reply.solve_seconds = spans.solve_seconds;
   reply.spans = spans;
   metrics_.denormalize.record(spans.denormalize_seconds);
   metrics_.request.record(spans.queue_wait_seconds + spans.canonicalize_seconds +
@@ -247,18 +246,24 @@ std::vector<util::Expected<Reply>> Broker::solve_batch(std::span<const SolveRequ
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());
   for (const SolveRequest& request : requests) tickets.push_back(make_ticket(request));
-  return dispatch(tickets, {});
+  return dispatch(tickets, false);
 }
 
 std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tickets,
-                                                    std::span<const double> queue_waits) {
+                                                    bool queued) {
   const std::size_t count = tickets.size();
   metrics_.batches_total.add(1);
   metrics_.requests_total.add(count);
   std::vector<std::optional<util::Expected<Reply>>> staged(count);
   const auto admitted = [&](std::size_t i) -> const Admitted& { return *tickets[i].admitted; };
+  // Deadline budgets are measured against the queue wait plus any armed
+  // clock skew (faultpoint.hpp); `batch_start` ends every queue wait and
+  // anchors the mid-solve cancellation deadlines below.
+  const auto batch_start = std::chrono::steady_clock::now();
+  const double skew = clock_skew_seconds();
   const auto queue_wait_of = [&](std::size_t i) {
-    return queue_waits.empty() ? 0.0 : queue_waits[i];
+    return queued ? std::chrono::duration<double>(batch_start - tickets[i].submitted).count()
+                  : 0.0;
   };
   /// The spans ticket i brings to dispatch: its queue wait and admission.
   const auto spans_of = [&](std::size_t i) {
@@ -267,11 +272,6 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
     spans.canonicalize_seconds = admitted(i).canonicalize_seconds;
     return spans;
   };
-  // Deadline budgets are measured against the queue wait plus any armed
-  // clock skew (faultpoint.hpp); `batch_start` anchors the mid-solve
-  // cancellation deadlines below.
-  const auto batch_start = std::chrono::steady_clock::now();
-  const double skew = clock_skew_seconds();
 
   // Group requests with equal full keys (first-seen order): one solve per
   // group, everyone else rides the cache.
@@ -302,7 +302,7 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
       continue;
     }
     metrics_.canonicalize.record(admitted(i).canonicalize_seconds);
-    if (!queue_waits.empty()) metrics_.queue_wait.record(queue_waits[i]);
+    if (queued) metrics_.queue_wait.record(queue_wait_of(i));
     const double remaining = knobs.deadline - queue_wait_of(i) - skew;
     const std::string_view key = admitted(i).full_key;
     auto [it, inserted] = group_of.try_emplace(key, groups.size());
@@ -423,14 +423,6 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
   return replies;
 }
 
-void Broker::resolve_ticket_locked(std::uint64_t id, util::Expected<Reply> reply) {
-  if (waiter_ids_.contains(id)) {
-    waiter_results_.emplace(id, std::move(reply));
-  } else {
-    completed_.push_back(Drained{id, std::move(reply)});
-  }
-}
-
 void Broker::shed_overflow_locked() {
   const std::size_t high = options_.queue_high_watermark;
   if (high == 0 || queue_.size() <= high) return;
@@ -443,83 +435,21 @@ void Broker::shed_overflow_locked() {
         queue_.begin(), queue_.end(), [](const Ticket& a, const Ticket& b) {
           if (a.knobs.priority != b.knobs.priority) return a.knobs.priority < b.knobs.priority;
           if (a.knobs.deadline != b.knobs.deadline) return a.knobs.deadline > b.knobs.deadline;
-          return a.id > b.id;
+          return a.arrival > b.arrival;
         });
     metrics_.shed_total.add(1);
-    resolve_ticket_locked(
-        victim->id,
-        util::make_error("overloaded",
-                         "queue exceeded its high watermark (" + std::to_string(high) +
-                             ") and this request was shed"));
+    *victim->reply = util::make_error("overloaded",
+                                      "queue exceeded its high watermark (" +
+                                          std::to_string(high) + ") and this request was shed");
     queue_.erase(victim);
   }
-  // Shed waiters must wake up and find their "overloaded" result.
+  // Shed callers must wake up and find their "overloaded" reply.
   queue_cv_.notify_all();
-}
-
-std::uint64_t Broker::submit(const SolveRequest& request) {
-  Ticket ticket = make_ticket(request);
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::uint64_t id = ticket.id = next_ticket_++;
-  if (shutting_down()) {
-    resolve_ticket_locked(id, shutting_down_error());
-    return id;
-  }
-  queue_.push_back(std::move(ticket));
-  shed_overflow_locked();
-  return id;
 }
 
 std::size_t Broker::pending() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return queue_.size();
-}
-
-std::vector<Broker::Drained> Broker::solve_tickets(const std::vector<Ticket>& batch) {
-  const auto drained_at = std::chrono::steady_clock::now();
-  std::vector<double> queue_waits;
-  queue_waits.reserve(batch.size());
-  for (const Ticket& ticket : batch) {
-    queue_waits.push_back(std::chrono::duration<double>(drained_at - ticket.submitted).count());
-  }
-  std::vector<util::Expected<Reply>> replies = dispatch(batch, queue_waits);
-  std::vector<Drained> drained;
-  drained.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    drained.push_back(Drained{batch[i].id, std::move(replies[i])});
-  }
-  return drained;
-}
-
-std::vector<Broker::Drained> Broker::drain() {
-  std::vector<Ticket> batch;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    batch.swap(queue_);
-  }
-  std::vector<Drained> solved = solve_tickets(batch);
-  std::vector<Drained> drained;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    // Route `solve_batched` waiters' results to them; everything else —
-    // including the backlog of already-resolved tickets (shed, shutdown) —
-    // is this drain's to return.
-    bool woke_waiter = false;
-    for (Drained& d : solved) {
-      if (waiter_ids_.contains(d.id)) {
-        waiter_results_.emplace(d.id, std::move(d.reply));
-        woke_waiter = true;
-      } else {
-        drained.push_back(std::move(d));
-      }
-    }
-    for (Drained& d : completed_) drained.push_back(std::move(d));
-    completed_.clear();
-    if (woke_waiter) queue_cv_.notify_all();
-  }
-  std::sort(drained.begin(), drained.end(),
-            [](const Drained& a, const Drained& b) { return a.id < b.id; });
-  return drained;
 }
 
 util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
@@ -539,20 +469,14 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
       return std::move(*hit);
     }
   }
+  std::optional<util::Expected<Reply>> reply;
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (shutting_down()) return shutting_down_error();
-  const std::uint64_t id = ticket.id = next_ticket_++;
-  waiter_ids_.insert(id);
+  ticket.reply = &reply;
+  ticket.arrival = next_arrival_++;
   queue_.push_back(std::move(ticket));
-  shed_overflow_locked();  // may shed this very ticket: the loop below sees it
-  while (true) {
-    const auto ready = waiter_results_.find(id);
-    if (ready != waiter_results_.end()) {
-      util::Expected<Reply> reply = std::move(ready->second);
-      waiter_results_.erase(ready);
-      waiter_ids_.erase(id);
-      return reply;
-    }
+  shed_overflow_locked();  // may shed this very caller: the loop below sees it
+  while (!reply) {
     if (!draining_ && !queue_.empty()) {
       // Become the drainer: dispatch the whole queue segment — our ticket
       // and every concurrent session's, all admitted already — as one
@@ -561,15 +485,16 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
       std::vector<Ticket> batch;
       batch.swap(queue_);
       lock.unlock();
-      std::vector<Drained> solved = solve_tickets(batch);
+      std::vector<util::Expected<Reply>> replies = dispatch(batch, true);
       lock.lock();
-      for (Drained& d : solved) resolve_ticket_locked(d.id, std::move(d.reply));
+      for (std::size_t i = 0; i < batch.size(); ++i) *batch[i].reply = std::move(replies[i]);
       draining_ = false;
       queue_cv_.notify_all();
     } else {
       queue_cv_.wait(lock);
     }
   }
+  return std::move(*reply);
 }
 
 void Broker::begin_shutdown() {

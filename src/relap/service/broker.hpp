@@ -42,17 +42,17 @@
 /// a crashed process restarts with snapshot + journal replay — losing at
 /// most the last `fsync_every - 1` solves.
 ///
-/// Batches (`solve_batch`, or `submit` + `drain`) additionally dedupe: member
-/// requests with equal full keys form one group, groups are ordered by
-/// (priority desc, deadline asc, arrival), and only each group's lead solves;
-/// the other members re-probe the cache and count as hits. Group dispatch
-/// rides the same deterministic exec pool the solvers use — nested `run()` is
-/// explicitly safe there.
+/// Batches (a `solve_batch` call, or the `solve_batched` callers one drainer
+/// dispatches together) additionally dedupe: member requests with equal full
+/// keys form one group, groups are ordered by (priority desc, deadline asc,
+/// arrival), and only each group's lead solves; the other members re-probe
+/// the cache and count as hits. Group dispatch rides the same deterministic
+/// exec pool the solvers use — nested `run()` is explicitly safe there.
 ///
 /// Overload hardening (all failure modes are structured errors, never
 /// asserts or hangs):
 ///
-///   - **Deadlines are wall-clock budgets** (seconds from submit; see
+///   - **Deadlines are wall-clock budgets** (seconds from queueing; see
 ///     request.hpp). A request whose budget is spent when its batch
 ///     dispatches rejects with "deadline-exceeded"; a running solve is
 ///     cooperatively cancelled (util/cancel.hpp tokens, polled at chunk
@@ -60,14 +60,14 @@
 ///     in its dedup group passes — a solve is abandoned only when no member
 ///     still wants the answer. Cancelled solves are discarded, so completed
 ///     replies stay bit-identical.
-///   - **Load shedding**: with `queue_high_watermark` set, a submit that
-///     overflows the queue sheds the lowest-priority tickets (code
+///   - **Load shedding**: with `queue_high_watermark` set, a caller that
+///     overflows the queue sheds the lowest-priority queued callers (code
 ///     "overloaded") down to the low watermark.
 ///   - **Degrade mode**: with `degrade_on_deadline`, a deadline-cancelled
 ///     solve answers with a fast heuristic front instead of an error —
 ///     flagged `Reply::degraded`, `exact == false`, never cached.
 ///   - **Graceful drain**: after `begin_shutdown()`, new work is refused
-///     with "shutting-down" while already-queued tickets keep draining.
+///     with "shutting-down" while already-queued callers keep draining.
 ///
 /// Every entry point runs steps 1-2 (admission, canonicalization, full cache
 /// key) on the caller's thread and hands the outcome to one dispatch core,
@@ -80,11 +80,10 @@
 /// admits its request and probes the cache on its own thread. A hit is
 /// answered right there — it never queues, so it is never shed, never
 /// priority-ordered and records no queue wait. A miss (or a request that
-/// failed admission, has no budget left, or arrives during shutdown)
-/// submits its outcome into the shared queue and blocks for its own reply;
-/// one session drains the batch for everyone (waiter/drainer), so
-/// concurrent tenants coalesce into the same dedup + priority dispatch a
-/// single `solve_batch` call gets.
+/// failed admission or has no budget left) queues its outcome — the queue's
+/// only way in — and blocks for its own reply; one session drains the batch
+/// for everyone (waiter/drainer), so concurrent tenants coalesce into the
+/// same dedup + priority dispatch a single `solve_batch` call gets.
 
 #include <atomic>
 #include <chrono>
@@ -94,8 +93,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relap/exec/thread_pool.hpp"
@@ -117,9 +114,9 @@ struct BrokerOptions {
   /// Admission caps: requests beyond these reject with code "oversized".
   std::size_t max_stages = 64;
   std::size_t max_processors = 64;
-  /// Admission control for the submit/drain queue: when a submit pushes the
-  /// pending count past the high watermark, the lowest-priority tickets
-  /// (ties: latest deadline, then newest arrival) are shed with code
+  /// Admission control for the `solve_batched` queue: when a caller pushes
+  /// the pending count past the high watermark, the lowest-priority queued
+  /// callers (ties: latest deadline, then newest arrival) are shed with code
   /// "overloaded" until only the low watermark remain. 0 disables shedding;
   /// a zero low watermark defaults to half the high one.
   std::size_t queue_high_watermark = 0;
@@ -150,18 +147,13 @@ class Broker {
   /// and probes the cache on its own thread: a hit (shutdown not begun,
   /// admission passed, budget unspent at zero queue wait plus any armed
   /// clock skew — a direct `solve`'s rule) is answered at once and never
-  /// enters the queue. Everything else goes through the shared submit/drain
-  /// queue, where concurrent callers coalesce: one caller dispatches the
-  /// batch for everyone (dedup and priority dispatch apply *across*
-  /// callers), the others wait on their tickets. Shed / shutdown outcomes
-  /// surface as "overloaded" / "shutting-down" errors.
+  /// enters the queue. Everything else waits in the shared queue, where
+  /// concurrent callers coalesce: one caller dispatches the batch for
+  /// everyone (dedup and priority dispatch apply *across* callers), the
+  /// others wait for their own reply. A caller that overflows the high
+  /// watermark sheds (see BrokerOptions); shed / post-shutdown callers get
+  /// "overloaded" / "shutting-down" errors.
   [[nodiscard]] util::Expected<Reply> solve_batched(const SolveRequest& request);
-
-  /// Admits a request on the calling thread and queues the outcome for the
-  /// next `drain()`; returns its ticket id. After `begin_shutdown()` the
-  /// ticket resolves to a "shutting-down" error; a submit that overflows the
-  /// high watermark sheds (see BrokerOptions).
-  std::uint64_t submit(const SolveRequest& request);
 
   /// Prepares `instance` for any number of later solves
   /// (`SolveRequest::prepared`): checks the stage and processor caps on the
@@ -171,24 +163,13 @@ class Broker {
   [[nodiscard]] std::shared_ptr<const PreparedInstance> prepare(
       const InstanceData& instance) const;
 
-  /// Number of submitted, not-yet-drained requests.
+  /// Number of `solve_batched` callers waiting in the queue for a drainer
+  /// to take them (a batch being dispatched is no longer pending).
   [[nodiscard]] std::size_t pending() const;
 
-  struct Drained {
-    std::uint64_t id = 0;
-    util::Expected<Reply> reply;
-  };
-
-  /// Serves every queued request as one batch; results carry the ticket ids
-  /// handed out by `submit`, in submission order (sorted by id). Also
-  /// delivers the backlog: tickets already resolved without a solve (shed
-  /// "overloaded", post-shutdown "shutting-down"). Tickets a concurrent
-  /// `solve_batched` drainer is solving right now surface on a later drain.
-  [[nodiscard]] std::vector<Drained> drain();
-
   /// Graceful drain: after this, `solve`/`solve_batch`/`solve_batched`
-  /// refuse with code "shutting-down" and new submits resolve to the same
-  /// error, while already-queued tickets keep draining normally.
+  /// refuse with code "shutting-down", while already-queued callers keep
+  /// draining to real replies.
   void begin_shutdown();
   [[nodiscard]] bool shutting_down() const {
     return shutting_down_.load(std::memory_order_acquire);
@@ -274,18 +255,22 @@ class Broker {
   /// One request on its way to dispatch: its admission outcome and the
   /// knobs dispatch reads. The raw instance is not kept.
   struct Ticket {
-    std::uint64_t id = 0;
     SolveKnobs knobs;
     util::Expected<Admitted> admitted;
     std::chrono::steady_clock::time_point submitted;  ///< queued (admission done)
+    /// Set once queued: the waiting caller's reply slot, which the drainer
+    /// or the shedder fills under `queue_mutex_`, and the caller's arrival
+    /// number, the shed tie-break.
+    std::optional<util::Expected<Reply>>* reply = nullptr;
+    std::uint64_t arrival = 0;
   };
 
   /// The "oversized" error for these record counts, if the caps refuse them.
   [[nodiscard]] std::optional<util::Error> oversized(std::size_t stages,
                                                      std::size_t processors) const;
   [[nodiscard]] util::Expected<Admitted> admit(const SolveRequest& request) const;
-  /// Admits `request` on the calling thread; the ticket's id is 0 until the
-  /// caller queues it.
+  /// Admits `request` on the calling thread; the queue fields stay unset
+  /// until the caller queues the ticket.
   [[nodiscard]] Ticket make_ticket(const SolveRequest& request) const;
   [[nodiscard]] util::Expected<algorithms::FrontReport> solve_canonical(
       const SolveKnobs& knobs, const Admitted& admitted, const util::CancelToken* cancel) const;
@@ -301,12 +286,11 @@ class Broker {
       std::optional<util::Expected<Reply>>& reply);
   /// The one dispatch path behind every entry point: dequeue-time deadline
   /// check, admission outcome, dedup grouping, priority order, then solve
-  /// or cache probe per group. `queue_waits` (empty for direct calls, else
-  /// one value per ticket) carries the queued -> dispatch delay into spans
-  /// and metrics, and is what dequeue-time deadline enforcement measures
-  /// budgets against.
+  /// or cache probe per group. For `queued` tickets the queued -> dispatch
+  /// delay enters spans and metrics, and is what dequeue-time deadline
+  /// enforcement measures budgets against; direct calls wait 0.
   [[nodiscard]] std::vector<util::Expected<Reply>> dispatch(std::span<const Ticket> tickets,
-                                                            std::span<const double> queue_waits);
+                                                            bool queued);
 
   /// Appends a freshly solved entry to the journal, if one is attached.
   /// Append failures are absorbed (the reply already exists and the
@@ -327,26 +311,17 @@ class Broker {
   mutable std::mutex journal_mutex_;
   std::unique_ptr<Journal> journal_;
 
-  /// Solves a swapped-out queue segment; caller routes the results.
-  [[nodiscard]] std::vector<Drained> solve_tickets(const std::vector<Ticket>& batch);
   /// Sheds down to the low watermark; requires `queue_mutex_` held.
   void shed_overflow_locked();
-  /// Resolves a ticket without solving (shed / shutdown); requires
-  /// `queue_mutex_` held.
-  void resolve_ticket_locked(std::uint64_t id, util::Expected<Reply> reply);
 
+  /// `solve_batched` coordination: every queued ticket's caller waits on
+  /// `queue_cv_` until its reply slot is filled; at most one caller drains
+  /// at a time (`draining_`).
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::vector<Ticket> queue_;
-  /// Resolved non-waiter tickets awaiting the next `drain()`.
-  std::vector<Drained> completed_;
-  /// `solve_batched` coordination: callers park their ticket id in
-  /// `waiter_ids_` and collect the reply from `waiter_results_`; at most one
-  /// caller drains at a time (`draining_`).
-  std::unordered_set<std::uint64_t> waiter_ids_;
-  std::unordered_map<std::uint64_t, util::Expected<Reply>> waiter_results_;
   bool draining_ = false;
-  std::uint64_t next_ticket_ = 1;
+  std::uint64_t next_arrival_ = 0;
   std::atomic<bool> shutting_down_{false};
 };
 

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "relap/service/faultpoint.hpp"
@@ -255,42 +254,24 @@ util::Expected<JournalStats> Journal::rotate() {
   if (wedged_) {
     return io_error("journal '" + path_ + "' is wedged after an earlier failure");
   }
-  // Same temp-then-rename commit protocol as snapshot saves; a failure at
-  // any step leaves the old journal (and this object's fd) untouched.
-  const std::string temp = path_ + ".tmp";
-  const int fd = faultpoint::should_fail("journal.rotate")
-                     ? -1
-                     : ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
-  if (fd < 0) return io_error("cannot open '" + temp + "' for the journal rotation");
-  if (!util::fs::write_all(fd, encode_journal_header()) || ::fsync(fd) != 0) {
-    ::close(fd);
-    std::remove(temp.c_str());
-    return io_error("write to '" + temp + "' failed during the journal rotation");
-  }
-  if (std::rename(temp.c_str(), path_.c_str()) != 0) {
-    ::close(fd);
-    std::remove(temp.c_str());
-    return io_error("cannot rename '" + temp + "' to '" + path_ + "'");
-  }
-  if (!util::fs::fsync_parent_directory(path_)) {
-    // The fresh journal is committed by name but the rename may not be
-    // durable; report it, but the swap below is still correct either way
-    // (both files start with a bare header).
-    ::close(fd_);
-    fd_ = fd;
-    stats_.file_bytes = kJournalHeaderBytes;
-    stats_.synced_bytes = kJournalHeaderBytes;
-    unsynced_records_ = 0;
-    ++stats_.rotations;
-    return io_error("fsync of directory '" + util::fs::parent_directory(path_) +
-                    "' failed after the journal rotation");
-  }
+  // The snapshot's commit protocol (util/fs.hpp); a failure before its
+  // rename leaves the old journal (and this object's fd) untouched.
+  const util::fs::Committed fresh =
+      util::fs::commit_file(path_, encode_journal_header(), [](util::fs::CommitStep step) {
+        return step == util::fs::CommitStep::Open && faultpoint::should_fail("journal.rotate");
+      });
+  if (fresh.fd < 0) return io_error("journal rotation: " + fresh.error->message);
+  // Appends follow the committed file: the old fd points at the replaced
+  // inode. That holds even when only the directory fsync failed — the
+  // fresh journal is committed by name, and both files start with a bare
+  // header.
   ::close(fd_);
-  fd_ = fd;  // the fd follows the file through the rename
+  fd_ = fresh.fd;
   stats_.file_bytes = kJournalHeaderBytes;
   stats_.synced_bytes = kJournalHeaderBytes;
   unsynced_records_ = 0;
   ++stats_.rotations;
+  if (fresh.error) return io_error("journal rotation: " + fresh.error->message);
   return stats_;
 }
 

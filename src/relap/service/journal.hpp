@@ -150,10 +150,11 @@ class Journal {
   [[nodiscard]] util::Expected<JournalStats> sync();
 
   /// Compaction step: atomically replaces the journal with a fresh empty
-  /// one (temp header, fsync, rename, directory fsync), to be called right
-  /// after the snapshot that absorbed its records committed. On failure the
-  /// old journal stays intact and appendable — replaying it over the new
-  /// snapshot is idempotent, so a failed rotation is safe, just uncompacted.
+  /// one (`util::fs::commit_file`: temp header, fsync, rename, directory
+  /// fsync), to be called right after the snapshot that absorbed its
+  /// records committed. On failure the old journal stays intact and
+  /// appendable — replaying it over the new snapshot is idempotent, so a
+  /// failed rotation is safe, just uncompacted.
   [[nodiscard]] util::Expected<JournalStats> rotate();
 
   [[nodiscard]] const JournalStats& stats() const { return stats_; }

@@ -96,7 +96,7 @@ class LatencyHistogram {
 struct ServiceMetrics {
   Counter requests_total;       ///< requests entering admission
   Counter rejected_total;       ///< structured admission rejections
-  Counter batches_total;        ///< solve_batch invocations (solve() counts too)
+  Counter batches_total;        ///< dispatches: per solve/solve_batch call and per queue drain
   Counter deduped_total;        ///< batch members served by another member's solve
   Counter solves_total;         ///< cache-miss dispatches into the solver stack
   Counter solve_errors_total;   ///< infeasible/budget outcomes of those solves
@@ -115,7 +115,7 @@ struct ServiceMetrics {
   Counter journal_records_discarded_torn;  ///< torn tails dropped on recovery
   Gauge recovery_seconds;                  ///< wall time of the last recover()
 
-  LatencyHistogram queue_wait;    ///< submit() -> drain() dispatch
+  LatencyHistogram queue_wait;    ///< solve_batched queued -> its batch's dispatch
   /// Admission on the caller's thread: caps, knobs and the full cache key,
   /// plus `prepare` when the request carries raw records.
   LatencyHistogram canonicalize;

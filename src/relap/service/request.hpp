@@ -145,7 +145,7 @@ struct SolveRequest : SolveKnobs {
 /// are seconds; spans that did not occur (queue wait on a direct `solve` or
 /// on a `solve_batched` hit, which never queues; solve on a cache hit) are 0.
 struct TraceSpans {
-  double queue_wait_seconds = 0.0;    ///< submit() -> batch dispatch
+  double queue_wait_seconds = 0.0;    ///< queued -> its batch's dispatch
   /// Admission: caps, knobs and the full cache key, plus canonicalization
   /// when the request carries raw records (a session's solve reuses the
   /// form its upload prepared).
@@ -174,14 +174,11 @@ struct Reply {
   /// answered with a fast heuristic front instead. Degraded fronts always
   /// carry `exact == false` and are never cached.
   bool degraded = false;
-  /// Wall seconds spent solving (~0 for cache hits).
-  double solve_seconds = 0.0;
   /// FNV-1a hash of the canonical instance form — equal across relabelings
   /// and power-of-two rescalings of the same instance.
   std::uint64_t canonical_hash = 0;
-  /// Wall-clock trace of this request's lifecycle spans (solve_seconds
-  /// above equals spans.solve_seconds; it predates the trace and stays for
-  /// compatibility).
+  /// Wall-clock trace of this request's lifecycle spans; `spans.solve_seconds`
+  /// is the wall time spent solving (0 for cache hits).
   TraceSpans spans;
 
   /// The single solution of a single-objective reply.

@@ -362,7 +362,7 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   out += " points=" + std::to_string(reply->front.size());
   out += " front=" + util::Fnv1a(front_checksum(reply->front)).hex();
   out += " canonical=" + util::Fnv1a(reply->canonical_hash).hex();
-  out += " solve_ms=" + util::format_fixed(reply->solve_seconds * 1e3, 3);
+  out += " solve_ms=" + util::format_fixed(reply->spans.solve_seconds * 1e3, 3);
   out += '\n';
   out += "trace ";
   out += reply->spans.to_json();
@@ -589,9 +589,11 @@ void TcpServer::serve_connection(Broker& broker, int conn, const ServerOptions& 
 }
 
 std::size_t TcpServer::serve(Broker& broker, const ServerOptions& options) {
-  struct ConnectionCount {
+  struct Connections {
     std::mutex mutex;
     std::size_t active = 0;
+    /// Connection threads that have finished serving, not yet joined.
+    std::vector<std::thread::id> finished;
   } connections;
   std::vector<std::thread> threads;
   std::size_t served = 0;
@@ -600,6 +602,22 @@ std::size_t TcpServer::serve(Broker& broker, const ServerOptions& options) {
     if (conn < 0) {
       if (errno == EINTR) continue;
       break;  // request_stop()'s socket shutdown lands here
+    }
+    // Join the threads of connections that ended since the last accept, so
+    // a long-running server holds one stack per live connection, not one
+    // per connection it ever served. (Detaching is no option: a thread
+    // would outlive `connections` in this frame.)
+    std::vector<std::thread::id> finished;
+    {
+      std::lock_guard<std::mutex> lock(connections.mutex);
+      finished.swap(connections.finished);
+    }
+    for (const std::thread::id id : finished) {
+      const auto done = std::find_if(threads.begin(), threads.end(), [id](const std::thread& t) {
+        return t.get_id() == id;
+      });
+      done->join();
+      threads.erase(done);
     }
     if (stop_requested()) {
       (void)send_all(conn, "err 0 shutting-down server is draining\n", options.write_timeout_ms);
@@ -625,17 +643,11 @@ std::size_t TcpServer::serve(Broker& broker, const ServerOptions& options) {
       serve_connection(broker, conn, options);
       std::lock_guard<std::mutex> lock(connections.mutex);
       --connections.active;
+      connections.finished.push_back(std::this_thread::get_id());
     });
   }
   for (std::thread& thread : threads) thread.join();
   return served;
-}
-
-std::size_t TcpServer::serve(Broker& broker, Session::Options options) {
-  // Compatibility shape: direct (non-batched) solves, default knobs.
-  ServerOptions server_options;
-  server_options.session = options;
-  return serve(broker, server_options);
 }
 
 void TcpServer::request_stop() {

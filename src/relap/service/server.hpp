@@ -88,7 +88,7 @@ struct SessionOptions {
   std::size_t max_stage_records = 4096;
   std::size_t max_processor_records = 4096;
   std::size_t max_instances = 1024;
-  /// Route `solve` through the broker's shared submit/drain batch queue
+  /// Route `solve` through the broker's shared batch queue
   /// (`Broker::solve_batched`) instead of a direct `solve`: concurrent
   /// sessions then coalesce into one deduped, priority-ordered batch. The
   /// concurrent TCP front turns this on by default.
@@ -184,12 +184,9 @@ class TcpServer {
   /// Accept loop: serves sessions concurrently until one requests shutdown,
   /// `request_stop()` is called, or the socket errors out. Returns the
   /// number of connections accepted and served (refused-overloaded ones not
-  /// counted). All connection threads are joined before returning.
+  /// counted). Each accept joins the threads of connections that ended
+  /// since the last one; the rest are joined before returning.
   std::size_t serve(Broker& broker, const ServerOptions& options);
-
-  /// Compatibility overload: per-session options only, direct (non-batched)
-  /// solves, default concurrency knobs.
-  std::size_t serve(Broker& broker, Session::Options options = {});
 
   /// Asks a running `serve` to wind down: stop accepting, answer further
   /// lines on live connections with `err shutting-down`, and return once

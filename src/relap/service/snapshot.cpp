@@ -1,9 +1,7 @@
 #include "relap/service/snapshot.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <unordered_set>
 #include <utility>
 
@@ -175,37 +173,17 @@ util::Expected<SnapshotStats> save_snapshot(const FrontCache& cache, const std::
   const std::vector<FrontCache::ExportedEntry> entries = cache.export_entries();
   const std::string bytes = encode_snapshot(entries);
 
-  // Crash-safe commit: write <path>.tmp, fsync its *data* to disk, rename
-  // over the destination, then fsync the containing directory so the rename
-  // itself is durable. Without the fsyncs a crash shortly after "success"
-  // can leave a zero-length or torn file under the committed name — the
-  // rename persists before the data does. Every step has a fault point
+  // Crash-safe commit (util/fs.hpp); every step has a fault point
   // (service/faultpoint.hpp) so the failure paths are actually tested.
-  const std::string temp = path + ".tmp";
-  const int fd = faultpoint::should_fail("snapshot.open")
-                     ? -1
-                     : ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return util::make_error("io", "cannot open '" + temp + "' for writing");
-  }
-  bool ok = !faultpoint::should_fail("snapshot.write") && util::fs::write_all(fd, bytes);
-  if (ok && (faultpoint::should_fail("snapshot.fsync") || ::fsync(fd) != 0)) ok = false;
-  if (::close(fd) != 0) ok = false;
-  if (!ok) {
-    std::remove(temp.c_str());
-    return util::make_error("io", "write to '" + temp + "' failed");
-  }
-  if (faultpoint::should_fail("snapshot.rename") ||
-      std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return util::make_error("io", "cannot rename '" + temp + "' to '" + path + "'");
-  }
-  // Directory fsync failures are reported, not rolled back: the data file is
-  // already committed by name, just not yet guaranteed durable.
-  if (!util::fs::fsync_parent_directory(path)) {
-    return util::make_error("io", "fsync of directory '" + util::fs::parent_directory(path) +
-                                      "' failed after the rename");
-  }
+  const util::fs::Committed committed =
+      util::fs::commit_file(path, bytes, [](util::fs::CommitStep step) {
+        static constexpr std::string_view kPoints[] = {"snapshot.open", "snapshot.write",
+                                                       "snapshot.fsync", "snapshot.rename"};
+        return faultpoint::should_fail(kPoints[static_cast<std::size_t>(step)]);
+      });
+  // The bytes are fsynced before the rename, so closing cannot lose them.
+  if (committed.fd >= 0) ::close(committed.fd);
+  if (committed.error) return *committed.error;
   return SnapshotStats{entries.size(), bytes.size()};
 }
 

@@ -20,20 +20,6 @@ std::uint64_t binomial(std::size_t n, std::size_t k) {
   return static_cast<std::uint64_t>(result);
 }
 
-std::uint64_t count_compositions(std::size_t n, std::size_t max_parts) {
-  std::uint64_t total = 0;
-  for (std::size_t p = 1; p <= std::min(n, max_parts); ++p) {
-    total = sat_add(total, binomial(n - 1, p - 1));
-  }
-  return total;
-}
-
-std::uint64_t count_raw_groupings(std::size_t m, std::size_t p) {
-  std::uint64_t result = 1;
-  for (std::size_t i = 0; i < m; ++i) result = sat_mul(result, static_cast<std::uint64_t>(p + 1));
-  return result;
-}
-
 std::uint64_t count_groupings(std::size_t m, std::size_t p) {
   // Inclusion-exclusion over which of the p groups stay empty:
   //   sum_{j=0}^{p} (-1)^j C(p, j) (p - j + 1)^m

@@ -87,49 +87,6 @@ bool for_each_composition(std::size_t n, std::size_t max_parts, const Visit& vis
   return detail::compose_rec(n, n < max_parts ? n : max_parts, parts, visit);
 }
 
-/// Number of compositions of n into at most max_parts parts
-/// (sum_{p=1}^{min(n,max_parts)} C(n-1, p-1)).
-[[nodiscard]] std::uint64_t count_compositions(std::size_t n, std::size_t max_parts);
-
-/// Visits every subset of {0, ..., m-1} (optionally skipping the empty set),
-/// as a sorted vector of indices. Precondition: m <= 63.
-template <typename Visit>
-bool for_each_subset(std::size_t m, bool include_empty, const Visit& visit) {
-  RELAP_ASSERT(m <= 63, "subset enumeration limited to 63 elements");
-  std::vector<std::size_t> subset;
-  const std::uint64_t limit = std::uint64_t{1} << m;
-  for (std::uint64_t mask = include_empty ? 0 : 1; mask < limit; ++mask) {
-    subset.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      if ((mask >> i) & 1U) subset.push_back(i);
-    }
-    if (!visit(subset)) return false;
-  }
-  return true;
-}
-
-/// Visits every k-element combination of {0, ..., m-1} in lexicographic
-/// order. Preconditions: k <= m.
-template <typename Visit>
-bool for_each_combination(std::size_t m, std::size_t k, const Visit& visit) {
-  RELAP_ASSERT(k <= m, "combination size exceeds ground set");
-  std::vector<std::size_t> comb(k);
-  for (std::size_t i = 0; i < k; ++i) comb[i] = i;
-  if (k == 0) return visit(std::span<const std::size_t>(comb));
-  while (true) {
-    if (!visit(std::span<const std::size_t>(comb))) return false;
-    // Advance to next lexicographic combination.
-    std::size_t i = k;
-    while (i > 0) {
-      --i;
-      if (comb[i] != i + m - k) break;
-      if (i == 0) return true;  // last combination visited
-    }
-    ++comb[i];
-    for (std::size_t j = i + 1; j < k; ++j) comb[j] = comb[j - 1] + 1;
-  }
-}
-
 /// Visits every function g: {0,...,m-1} -> {0,...,p-1, UNUSED} such that each
 /// of the p groups is non-empty, where UNUSED = p means "item not assigned to
 /// any group". The callback receives the group id per item.
@@ -143,12 +100,6 @@ bool for_each_grouping(std::size_t m, std::size_t p, const Visit& visit) {
   std::vector<std::size_t> group_sizes(p, 0);
   return detail::grouping_rec(0, m, p, group_of, group_sizes, p, visit);
 }
-
-/// UNUSED marker for `for_each_grouping`: group id == p.
-[[nodiscard]] constexpr std::size_t unused_group(std::size_t p) { return p; }
-
-/// (p+1)^m, the number of raw assignments `for_each_grouping` filters.
-[[nodiscard]] std::uint64_t count_raw_groupings(std::size_t m, std::size_t p);
 
 /// Number of ordered sequences of p disjoint non-empty subsets of an m-set
 /// (the number of callbacks `for_each_grouping` makes): the surjection-style

@@ -3,15 +3,18 @@
 /// \file fs.hpp
 /// Tiny POSIX filesystem helpers shared by the crash-safe persistence code
 /// (service/snapshot.cpp, service/journal.cpp): whole-file reads,
-/// full-buffer writes and the directory-fsync half of the
-/// write -> fsync -> rename -> fsync(dir) durability protocol.
+/// full-buffer writes, directory fsyncs and the one
+/// write -> fsync -> rename -> fsync(dir) durable commit (`commit_file`)
+/// behind snapshot saves and journal rotations.
 
 #include <fcntl.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -59,6 +62,55 @@ inline bool fsync_parent_directory(const std::string& path) {
   const bool synced = ::fsync(dir_fd) == 0;
   ::close(dir_fd);
   return synced;
+}
+
+/// The steps of `commit_file`, in order — what its fault hook names.
+enum class CommitStep { Open, Write, Fsync, Rename };
+
+/// Outcome of `commit_file`.
+struct Committed {
+  /// Open for appends on the file committed under the target path, or -1
+  /// when the commit failed before the rename. The caller closes it.
+  int fd = -1;
+  /// The "io" error of the step that failed, if any.
+  std::optional<Error> error;
+};
+
+/// Durably replaces the file at `path` with `bytes`: writes `<path>.tmp`,
+/// fsyncs its data, renames it over `path`, then fsyncs the directory so
+/// the rename itself survives a crash. Without the fsyncs a crash shortly
+/// after "success" can leave a zero-length or torn file under the committed
+/// name — the rename persists before the data does.
+///
+/// A failure before the rename removes the temp file and leaves `path`
+/// untouched. A failed directory fsync is reported, not rolled back: the
+/// file is committed by name, just not yet guaranteed durable, so its fd is
+/// handed out all the same. `fails` is asked once per step reached, in
+/// order; true fails that step as if its system call had — the hook callers
+/// wire their fault points into.
+inline Committed commit_file(const std::string& path, std::string_view bytes,
+                             bool (*fails)(CommitStep)) {
+  const std::string temp = path + ".tmp";
+  const int fd = fails(CommitStep::Open)
+                     ? -1
+                     : ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+  if (fd < 0) return {-1, make_error("io", "cannot open '" + temp + "' for writing")};
+  if (fails(CommitStep::Write) || !write_all(fd, bytes) || fails(CommitStep::Fsync) ||
+      ::fsync(fd) != 0) {
+    ::close(fd);
+    std::remove(temp.c_str());
+    return {-1, make_error("io", "write to '" + temp + "' failed")};
+  }
+  if (fails(CommitStep::Rename) || std::rename(temp.c_str(), path.c_str()) != 0) {
+    ::close(fd);
+    std::remove(temp.c_str());
+    return {-1, make_error("io", "cannot rename '" + temp + "' to '" + path + "'")};
+  }
+  if (!fsync_parent_directory(path)) {
+    return {fd, make_error("io", "fsync of directory '" + parent_directory(path) +
+                                     "' failed after the rename")};
+  }
+  return {fd, std::nullopt};
 }
 
 }  // namespace relap::util::fs

@@ -231,7 +231,7 @@ TEST(Broker, SingleObjectiveRepliesCarryOnePoint) {
   EXPECT_GT(reply->best().latency, 0.0);
 }
 
-// --- Batch dedup + ticket queue. -------------------------------------------
+// --- Batch dedup + the solve_batched queue. --------------------------------
 
 TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {
   Broker broker;
@@ -260,25 +260,94 @@ TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {
   EXPECT_EQ(stats.entries, 1U);
 }
 
-TEST(Broker, SubmitDrainPreservesOrderAndTickets) {
+// A `solve_batched` caller queues only when the cache cannot answer it at
+// once, and a queue with no drainer is drained by its first caller. So the
+// queue tests below park callers behind a drainer whose own solve stalls.
+
+/// Spins until `done()` holds, giving up after 10 s so a broken queue fails
+/// the test's assertions instead of hanging it.
+template <typename Done>
+void wait_until(const Done& done) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < give_up) std::this_thread::yield();
+}
+
+/// Makes a `solve_batched` miss the queue's drainer and stalls it for
+/// `seconds` inside its solve (the "broker.solve_stall" fault point).
+/// Callers started meanwhile wait in the queue — `pending()` counts them —
+/// and drain together as one batch once the stall ends. The drainer's own
+/// key (instance 41) is one no test caller uses.
+class StalledDrainer {
+ public:
+  StalledDrainer(Broker& broker, double seconds) {
+    faultpoint::clear();
+    faultpoint::ArmOptions stall;
+    stall.value = seconds;
+    faultpoint::arm("broker.solve_stall", stall);
+    thread_ = std::thread([&broker] {
+      SolveRequest request;
+      request.instance = small_instance(41, 3, 3);
+      request.objective = Objective::MinFpForLatency;
+      request.threshold = kInf;
+      EXPECT_TRUE(broker.solve_batched(request).has_value());
+    });
+    wait_until([] { return faultpoint::hits("broker.solve_stall") > 0; });
+  }
+  StalledDrainer(const StalledDrainer&) = delete;
+  StalledDrainer& operator=(const StalledDrainer&) = delete;
+  ~StalledDrainer() {
+    thread_.join();
+    faultpoint::clear();
+  }
+
+ private:
+  std::thread thread_;
+};
+
+/// One `solve_batched` call on its own thread; `reply()` waits for it.
+class Caller {
+ public:
+  Caller(Broker& broker, SolveRequest request)
+      : thread_([this, &broker, request = std::move(request)] {
+          reply_.emplace(broker.solve_batched(request));
+        }) {}
+  Caller(const Caller&) = delete;
+  Caller& operator=(const Caller&) = delete;
+  ~Caller() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  const util::Expected<Reply>& reply() {
+    if (thread_.joinable()) thread_.join();
+    return *reply_;
+  }
+
+ private:
+  std::optional<util::Expected<Reply>> reply_;
+  std::thread thread_;
+};
+
+TEST(Broker, QueuedCallersWithOneKeyShareOneSolve) {
   Broker broker;
   SolveRequest request;
   request.instance = small_instance(26);
   request.objective = Objective::MinFpForLatency;
   request.threshold = kInf;
-  const std::uint64_t first = broker.submit(request);
+  StalledDrainer drainer(broker, 1.0);
+  Caller first(broker, request);
+  wait_until([&] { return broker.pending() == 1; });
   request.priority = 5;
-  const std::uint64_t second = broker.submit(request);
+  Caller second(broker, request);
+  wait_until([&] { return broker.pending() == 2; });
   EXPECT_EQ(broker.pending(), 2U);
-  const auto drained = broker.drain();
+  ASSERT_TRUE(first.reply().has_value());
+  ASSERT_TRUE(second.reply().has_value());
   EXPECT_EQ(broker.pending(), 0U);
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, first);
-  EXPECT_EQ(drained[1].id, second);
-  ASSERT_TRUE(drained[0].reply.has_value());
-  ASSERT_TRUE(drained[1].reply.has_value());
-  EXPECT_TRUE(drained.back().reply->cache_hit);  // same instance+knobs = one key
-  EXPECT_TRUE(broker.drain().empty());
+  EXPECT_FALSE(first.reply()->cache_hit);
+  EXPECT_TRUE(second.reply()->cache_hit);  // same instance+knobs = one key
+  // One solve for the drainer, one for both queued callers.
+  EXPECT_EQ(broker.metrics().solves_total.value(), 2U);
+  EXPECT_EQ(broker.metrics().deduped_total.value(), 1U);
 }
 
 // --- Malformed-request hardening. ------------------------------------------
@@ -460,18 +529,18 @@ TEST(Broker, DeadlineSemanticsPinned) {
 
 TEST(Broker, QueuedDeadlineEnforcedAtDequeue) {
   Broker broker;
+  StalledDrainer drainer(broker, 1.0);
   SolveRequest request = valid_request();
-  request.deadline = 0.0;
-  const std::uint64_t expired = broker.submit(request);
-  request.deadline = 3600.0;  // queue waits are microseconds here
-  const std::uint64_t alive = broker.submit(request);
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, expired);
-  ASSERT_FALSE(drained[0].reply.has_value());
-  EXPECT_EQ(drained[0].reply.error().code, "deadline-exceeded");
-  EXPECT_EQ(drained[1].id, alive);
-  EXPECT_TRUE(drained[1].reply.has_value());
+  request.deadline = 0.2;  // spent by the wait behind the stalled drainer
+  Caller expired(broker, request);
+  wait_until([&] { return broker.pending() == 1; });
+  request.deadline = 3600.0;
+  Caller alive(broker, request);
+  wait_until([&] { return broker.pending() == 2; });
+  ASSERT_FALSE(expired.reply().has_value());
+  EXPECT_EQ(expired.reply().error().code, "deadline-exceeded");
+  EXPECT_TRUE(alive.reply().has_value());
+  EXPECT_EQ(broker.metrics().deadline_exceeded_total.value(), 1U);
 }
 
 TEST(Broker, SpentDeadlineOutranksAdmissionErrorOnEveryEntryPoint) {
@@ -489,16 +558,9 @@ TEST(Broker, SpentDeadlineOutranksAdmissionErrorOnEveryEntryPoint) {
   ASSERT_FALSE(batched.has_value());
   EXPECT_EQ(batched.error().code, "deadline-exceeded");
 
-  const std::uint64_t id = broker.submit(request);
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 1U);
-  EXPECT_EQ(drained[0].id, id);
-  ASSERT_FALSE(drained[0].reply.has_value());
-  EXPECT_EQ(drained[0].reply.error().code, "deadline-exceeded");
-
   expect_error(broker, request, "deadline-exceeded");
 
-  EXPECT_EQ(broker.metrics().deadline_exceeded_total.value(), 3U);
+  EXPECT_EQ(broker.metrics().deadline_exceeded_total.value(), 2U);
   EXPECT_EQ(broker.metrics().rejected_total.value(), 0U);
   EXPECT_EQ(broker.metrics().canonicalize.count(), 0U);
 
@@ -516,31 +578,33 @@ TEST(Broker, ShedTicketsLeaveAdmissionMetricsUntouched) {
   options.queue_high_watermark = 2;
   options.queue_low_watermark = 1;
   Broker broker(options);
+  StalledDrainer drainer(broker, 1.0);
+  // The drainer's own request is dispatched (and counted) before it stalls.
+  const std::uint64_t rejected_before = broker.metrics().rejected_total.value();
+  const std::uint64_t canonicalized_before = broker.metrics().canonicalize.count();
 
   SolveRequest malformed = valid_request();
   malformed.max_evaluations = 0;
-  const std::uint64_t shed_malformed = broker.submit(malformed);
-  const std::uint64_t shed_valid = broker.submit(valid_request());
+  Caller shed_malformed(broker, malformed);
+  wait_until([&] { return broker.pending() == 1; });
+  Caller shed_valid(broker, valid_request());
+  wait_until([&] { return broker.pending() == 2; });
   SolveRequest urgent = valid_request();
   urgent.priority = 5;
-  const std::uint64_t kept = broker.submit(urgent);
+  Caller kept(broker, urgent);
+  wait_until([&] { return broker.metrics().shed_total.value() == 2; });
   EXPECT_EQ(broker.pending(), 1U);
   EXPECT_EQ(broker.metrics().shed_total.value(), 2U);
 
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 3U);
-  EXPECT_EQ(drained[0].id, shed_malformed);
-  EXPECT_EQ(drained[1].id, shed_valid);
-  EXPECT_EQ(drained[2].id, kept);
-  for (std::size_t i = 0; i < 2; ++i) {
-    ASSERT_FALSE(drained[i].reply.has_value());
-    EXPECT_EQ(drained[i].reply.error().code, "overloaded");
+  for (Caller* shed : {&shed_malformed, &shed_valid}) {
+    ASSERT_FALSE(shed->reply().has_value());
+    EXPECT_EQ(shed->reply().error().code, "overloaded");
   }
-  EXPECT_TRUE(drained[2].reply.has_value());
-  // Only the dispatched ticket is counted: the shed malformed one was
-  // admitted (and refused) on its caller's thread, but never dispatched.
-  EXPECT_EQ(broker.metrics().rejected_total.value(), 0U);
-  EXPECT_EQ(broker.metrics().canonicalize.count(), 1U);
+  EXPECT_TRUE(kept.reply().has_value());
+  // Only the dispatched caller is counted: the shed malformed one was
+  // admitted (and refused) on its own thread, but never dispatched.
+  EXPECT_EQ(broker.metrics().rejected_total.value() - rejected_before, 0U);
+  EXPECT_EQ(broker.metrics().canonicalize.count() - canonicalized_before, 1U);
 }
 
 TEST(Broker, WatermarkSheddingDropsLowestPriorityFirst) {
@@ -548,34 +612,36 @@ TEST(Broker, WatermarkSheddingDropsLowestPriorityFirst) {
   options.queue_high_watermark = 4;
   options.queue_low_watermark = 2;
   Broker broker(options);
+  StalledDrainer drainer(broker, 1.0);
 
-  std::vector<std::uint64_t> ids;
+  std::vector<std::unique_ptr<Caller>> callers;
   for (int p = 0; p < 5; ++p) {
     SolveRequest request = valid_request();
-    request.priority = p;  // later submissions are *more* important
-    ids.push_back(broker.submit(request));
+    request.priority = p;  // later callers are *more* important
+    callers.push_back(std::make_unique<Caller>(broker, request));
+    if (p < 4) wait_until([&] { return broker.pending() == callers.size(); });
   }
-  // The fifth submit crossed the high watermark: shed down to the low one,
-  // lowest priorities first, so the two most important tickets survive.
+  // The fifth caller crossed the high watermark: shed down to the low one,
+  // lowest priorities first, so the two most important callers survive.
+  wait_until([&] { return broker.metrics().shed_total.value() == 3; });
   EXPECT_EQ(broker.pending(), 2U);
   EXPECT_EQ(broker.metrics().shed_total.value(), 3U);
 
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 5U);
-  for (std::size_t i = 0; i < drained.size(); ++i) EXPECT_EQ(drained[i].id, ids[i]);
   for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_FALSE(drained[i].reply.has_value()) << "priority " << i << " should be shed";
-    EXPECT_EQ(drained[i].reply.error().code, "overloaded");
+    ASSERT_FALSE(callers[i]->reply().has_value()) << "priority " << i << " should be shed";
+    EXPECT_EQ(callers[i]->reply().error().code, "overloaded");
   }
   for (std::size_t i = 3; i < 5; ++i) {
-    EXPECT_TRUE(drained[i].reply.has_value()) << "priority " << i << " should survive";
+    EXPECT_TRUE(callers[i]->reply().has_value()) << "priority " << i << " should survive";
   }
 }
 
 TEST(Broker, GracefulShutdownRefusesNewWorkButDrainsQueued) {
   Broker broker;
+  StalledDrainer drainer(broker, 1.0);
   SolveRequest request = valid_request();
-  const std::uint64_t queued = broker.submit(request);
+  Caller queued(broker, request);
+  wait_until([&] { return broker.pending() == 1; });
 
   broker.begin_shutdown();
   EXPECT_TRUE(broker.shutting_down());
@@ -584,16 +650,9 @@ TEST(Broker, GracefulShutdownRefusesNewWorkButDrainsQueued) {
   expect_error(broker, request, "shutting-down");
   ASSERT_FALSE(broker.solve_batched(request).has_value());
   EXPECT_EQ(broker.solve_batched(request).error().code, "shutting-down");
-  const std::uint64_t late = broker.submit(request);
 
-  // ...while the pre-shutdown ticket still drains to a real reply.
-  const auto drained = broker.drain();
-  ASSERT_EQ(drained.size(), 2U);
-  EXPECT_EQ(drained[0].id, queued);
-  EXPECT_TRUE(drained[0].reply.has_value());
-  EXPECT_EQ(drained[1].id, late);
-  ASSERT_FALSE(drained[1].reply.has_value());
-  EXPECT_EQ(drained[1].reply.error().code, "shutting-down");
+  // ...while the pre-shutdown caller still drains to a real reply.
+  EXPECT_TRUE(queued.reply().has_value());
 }
 
 // --- solve_batched: the concurrent sessions' entry point. -------------------
@@ -614,7 +673,6 @@ TEST(Broker, SolveBatchedMatchesDirectSolveBitIdentically) {
         bits_equal(direct->front[i].failure_probability, batched->front[i].failure_probability));
   }
   EXPECT_EQ(batched_broker.pending(), 0U);
-  EXPECT_TRUE(batched_broker.drain().empty());
 }
 
 TEST(Broker, ConcurrentSolveBatchedCoalescesOntoOneSolve) {

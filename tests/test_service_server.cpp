@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -822,7 +823,7 @@ TEST(Server, TcpLoopbackServesSessionsUntilShutdown) {
   ASSERT_NE(server.port(), 0);
 
   std::size_t sessions = 0;
-  std::thread accept_thread([&] { sessions = server.serve(broker); });
+  std::thread accept_thread([&] { sessions = server.serve(broker, ServerOptions{}); });
 
   {
     Client client(server.port());
@@ -882,6 +883,48 @@ TEST(Server, TcpOverlongLineIsRefusedAndOnlyItsConnectionCloses) {
     ASSERT_TRUE(client.connected());
     client.send_text("ping\nshutdown\n");
     EXPECT_EQ(client.read_all(), "ok pong\nok shutdown\n");
+  }
+  accept_thread.join();
+}
+
+/// Lines of /proc/self/maps, one per mapping. A thread stack takes two (the
+/// stack and its guard page), and a finished thread's stack is reused for a
+/// new thread only once that thread has been joined.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Server, TcpJoinsFinishedConnectionThreadsWhileServing) {
+  Broker broker;
+  auto bound = TcpServer::bind_localhost(0);
+  ASSERT_TRUE(bound.has_value()) << bound.error().to_string();
+  TcpServer server = std::move(bound.value());
+  std::thread accept_thread([&] { (void)server.serve(broker, ServerOptions{}); });
+
+  const auto ping_and_quit = [&] {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    client.send_text("ping\nquit\n");
+    EXPECT_EQ(client.read_all(), "ok pong\nok bye\n");
+  };
+  constexpr std::size_t kConnections = 64;
+  // A first round also fills the allocator's (and any sanitizer's)
+  // per-thread caches, which then hold steady.
+  for (std::size_t i = 0; i < kConnections; ++i) ping_and_quit();
+  const std::size_t before = mapping_count();
+  for (std::size_t i = 0; i < kConnections; ++i) ping_and_quit();
+  // Unjoined, each finished connection would keep its two mappings until
+  // `serve` returns: 128 more lines.
+  EXPECT_LT(mapping_count(), before + kConnections / 2);
+
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    client.send_text("shutdown\n");
+    EXPECT_EQ(client.read_all(), "ok shutdown\n");
   }
   accept_thread.join();
 }
