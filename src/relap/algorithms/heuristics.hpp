@@ -15,9 +15,12 @@
 ///    speed >= floor" single-interval mapping; on identical-link platforms
 ///    this sweep contains the exact single-interval optimum
 ///    (single_interval.hpp).
-///  * `greedy-split` — start from promising single intervals and recursively
-///    split the interval whose compute term dominates, re-assigning groups
-///    greedily; emits every intermediate mapping.
+///  * `greedy-split` — latency-greedy descent from the lowest-latency
+///    single-processor mapping: each round tries every interval, cut and
+///    unused processor, with the new processor on either half, and keeps
+///    the lowest-latency split while it improves latency. Emits every tried
+///    split, plus a replication ladder (extra reliable unused processors on
+///    each interval) of the start and of every kept split.
 ///  * `beam` — beam search over stage boundaries: a state is (boundary,
 ///    used-processor set, group of the yet-unsent last interval, partial
 ///    latency, log survival); transitions extend the mapping by one interval
@@ -41,7 +44,8 @@ class ThreadPool;
 namespace relap::algorithms {
 
 struct HeuristicOptions {
-  /// Beam width: states kept per boundary (Pareto-pruned first).
+  /// Beam width: states kept per boundary, half by optimistic latency and
+  /// the rest by reliability.
   std::size_t beam_width = 64;
   /// Replica-group sizes tried per interval go up to this cap.
   std::size_t max_replication = 16;

@@ -46,8 +46,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const { return thread_count_; }
-
   /// Runs `body(0) ... body(tasks - 1)`, each exactly once, distributed over
   /// the calling thread and the pool workers. Blocks until all tasks have
   /// finished; rethrows the first exception any task threw. Task indices are

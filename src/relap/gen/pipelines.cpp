@@ -1,12 +1,10 @@
 #include "relap/gen/pipelines.hpp"
 
-#include "relap/util/assert.hpp"
 #include "relap/util/rng.hpp"
 
 namespace relap::gen {
 
 pipeline::Pipeline random_pipeline(const PipelineGenOptions& options, std::uint64_t seed) {
-  RELAP_ASSERT(options.stages >= 1, "pipeline needs at least one stage");
   util::Rng rng(seed);
   std::vector<double> work(options.stages);
   std::vector<double> data(options.stages + 1);
@@ -42,7 +40,6 @@ pipeline::Pipeline comm_heavy_pipeline(std::size_t stages, std::uint64_t seed) {
 }
 
 pipeline::Pipeline bimodal_pipeline(std::size_t stages, std::uint64_t seed) {
-  RELAP_ASSERT(stages >= 1, "pipeline needs at least one stage");
   util::Rng rng(seed);
   std::vector<double> work(stages);
   std::vector<double> data(stages + 1);

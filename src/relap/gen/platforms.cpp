@@ -1,7 +1,6 @@
 #include "relap/gen/platforms.hpp"
 
 #include "relap/platform/builders.hpp"
-#include "relap/util/assert.hpp"
 #include "relap/util/rng.hpp"
 
 namespace relap::gen {
@@ -73,7 +72,6 @@ platform::Platform random_fully_heterogeneous(const PlatformGenOptions& options,
 
 platform::Platform random_reliable_unreliable_mix(std::size_t reliable, std::size_t unreliable,
                                                   std::uint64_t seed) {
-  RELAP_ASSERT(reliable + unreliable >= 1, "platform needs at least one processor");
   util::Rng rng(seed);
   std::vector<double> speeds;
   std::vector<double> fps;

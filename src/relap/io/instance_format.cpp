@@ -139,8 +139,9 @@ util::Expected<Instance> parse_instance(std::string_view text) {
   std::vector<double> out;
   if (link_tokens.size() == 3 && link_tokens[1] == "uniform") {
     const std::optional<double> b = util::parse_double(link_tokens[2]);
-    if (!b || *b <= 0.0) {
-      return util::parse_error(links_line.number, "uniform bandwidth must be positive");
+    if (!b) {
+      return util::parse_error(links_line.number,
+                               "bad number '" + std::string(link_tokens[2]) + "'");
     }
     link.assign(m, std::vector<double>(m, *b));
     in.assign(m, *b);
@@ -150,11 +151,7 @@ util::Expected<Instance> parse_instance(std::string_view text) {
       if (reader.done()) return util::parse_error(reader.last_line(), "missing 'row' line");
       auto row = parse_value_line(reader.next(), "row", m);
       if (!row) return row.error();
-      std::vector<double> values = std::move(row).take();
-      // The diagonal entry is ignored by the model; normalize it so the
-      // Platform constructor's positivity check never sees it.
-      values[u] = 1.0;
-      link.push_back(std::move(values));
+      link.push_back(std::move(row).take());
     }
     if (reader.done()) return util::parse_error(reader.last_line(), "missing 'in' line");
     auto in_values = parse_value_line(reader.next(), "in", m);
@@ -172,32 +169,10 @@ util::Expected<Instance> parse_instance(std::string_view text) {
     return util::parse_error(reader.peek().number, "unexpected trailing content");
   }
 
-  // Semantic validation (positive speeds, fp in [0,1], ...) lives in the
-  // model constructors; translate contract violations into parse errors by
-  // pre-checking the few things RELAP_ASSERT would abort on.
-  for (const double s : *speeds) {
-    if (!(s > 0.0)) return util::parse_error(0, "speeds must be positive");
-  }
-  for (const double f : *failures) {
-    if (!(f >= 0.0 && f <= 1.0)) return util::parse_error(0, "failure probabilities must be in [0,1]");
-  }
-  for (const auto& row : link) {
-    for (const double b : row) {
-      if (!(b > 0.0)) return util::parse_error(0, "bandwidths must be positive");
-    }
-  }
-  for (const double b : in) {
-    if (!(b > 0.0)) return util::parse_error(0, "bandwidths must be positive");
-  }
-  for (const double b : out) {
-    if (!(b > 0.0)) return util::parse_error(0, "bandwidths must be positive");
-  }
-  for (const double w : *work) {
-    if (!(w >= 0.0)) return util::parse_error(0, "work must be non-negative");
-  }
-  for (const double d : *data) {
-    if (!(d >= 0.0)) return util::parse_error(0, "data sizes must be non-negative");
-  }
+  // The value rules are the model types' own, reported as parse errors.
+  std::optional<util::Error> violation = pipeline::Pipeline::check(*work, *data);
+  if (!violation) violation = platform::Platform::check(*speeds, *failures, link, in, out);
+  if (violation) return util::parse_error(0, violation->message);
 
   return Instance{pipeline::Pipeline(std::move(*work), std::move(*data)),
                   platform::Platform(std::move(*speeds), std::move(*failures), std::move(link),
@@ -272,6 +247,14 @@ void append_instance_key_bytes(const pipeline::Pipeline& pipeline,
   }
 }
 
+std::optional<InstanceKeyCounts> read_instance_key_counts(std::string_view key) {
+  util::bytes::ByteReader reader(key);
+  std::uint64_t stages = 0;
+  std::uint64_t processors = 0;
+  if (!reader.read_u64_le(stages) || !reader.read_u64_le(processors)) return std::nullopt;
+  return InstanceKeyCounts{stages, processors};
+}
+
 util::Expected<bool> save_instance(const Instance& instance, const std::string& path) {
   std::ofstream file(path);
   if (!file) return util::make_error("io", "cannot open '" + path + "' for writing");
@@ -293,7 +276,7 @@ util::Expected<mapping::IntervalMapping> parse_mapping(std::string_view text) {
     const std::optional<std::size_t> first = util::parse_size(token.substr(1, dots - 1));
     const std::optional<std::size_t> last =
         util::parse_size(token.substr(dots + 2, close - dots - 2));
-    if (!first || !last || *first > *last) {
+    if (!first || !last) {
       return util::parse_error(0, "bad interval bounds in '" + std::string(token) + "'");
     }
     std::vector<platform::ProcessorId> processors;
@@ -303,31 +286,12 @@ util::Expected<mapping::IntervalMapping> parse_mapping(std::string_view text) {
       if (!id) return util::parse_error(0, "bad processor id in '" + std::string(token) + "'");
       processors.push_back(*id);
     }
-    if (processors.empty()) {
-      return util::parse_error(0, "empty replica group in '" + std::string(token) + "'");
-    }
     intervals.push_back(mapping::IntervalAssignment{{*first, *last}, std::move(processors)});
   }
-  if (intervals.empty()) return util::parse_error(0, "empty mapping");
-  // Re-validate the structural invariants the constructor asserts, as parse
-  // errors rather than aborts.
-  if (intervals.front().stages.first != 0) {
-    return util::parse_error(0, "first interval must start at stage 0");
-  }
-  for (std::size_t j = 1; j < intervals.size(); ++j) {
-    if (intervals[j].stages.first != intervals[j - 1].stages.last + 1) {
-      return util::parse_error(0, "intervals must be consecutive");
-    }
-  }
-  std::vector<platform::ProcessorId> all;
-  for (const auto& a : intervals) {
-    for (const platform::ProcessorId u : a.processors) all.push_back(u);
-  }
-  std::sort(all.begin(), all.end());
-  if (std::adjacent_find(all.begin(), all.end()) != all.end()) {
-    return util::parse_error(0, "replica groups must be disjoint");
-  }
-  return mapping::IntervalMapping(std::move(intervals));
+  util::Expected<mapping::IntervalMapping> mapping =
+      mapping::IntervalMapping::make(std::move(intervals));
+  if (!mapping) return util::parse_error(0, mapping.error().message);
+  return mapping;
 }
 
 std::string format_mapping(const mapping::IntervalMapping& mapping) { return mapping.describe(); }

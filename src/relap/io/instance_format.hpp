@@ -28,8 +28,11 @@
 ///
 ///     [0..1]->{0,2} [2..2]->{1}
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "relap/mapping/interval_mapping.hpp"
 #include "relap/pipeline/pipeline.hpp"
@@ -66,6 +69,17 @@ struct Instance {
 /// ignored link-matrix diagonal is excluded. Appends to `out`.
 void append_instance_key_bytes(const pipeline::Pipeline& pipeline,
                                const platform::Platform& platform, std::string& out);
+
+/// The stage and processor counts that open `append_instance_key_bytes`
+/// output: all a cache key says about the shape of its instance.
+struct InstanceKeyCounts {
+  std::uint64_t stages = 0;
+  std::uint64_t processors = 0;
+};
+
+/// Reads the counts at the start of `key`; nullopt when it is too short to
+/// hold them.
+[[nodiscard]] std::optional<InstanceKeyCounts> read_instance_key_counts(std::string_view key);
 
 /// Parses the one-line mapping syntax.
 [[nodiscard]] util::Expected<mapping::IntervalMapping> parse_mapping(std::string_view text);

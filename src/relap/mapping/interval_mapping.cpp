@@ -1,35 +1,57 @@
 #include "relap/mapping/interval_mapping.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <optional>
 #include <utility>
 
 #include "relap/util/assert.hpp"
 
 namespace relap::mapping {
 
+namespace {
+
+/// Sorts each replica group ascending and returns the first violated
+/// structural invariant: the one rule behind the constructor and `make`.
+std::optional<util::Error> sort_and_check(std::vector<IntervalAssignment>& intervals) {
+  using util::malformed;
+  if (intervals.empty()) return malformed("an interval mapping needs at least one interval");
+  if (intervals.front().stages.first != 0) return malformed("first interval must start at stage 0");
+  std::vector<platform::ProcessorId> all;
+  for (std::size_t j = 0; j < intervals.size(); ++j) {
+    IntervalAssignment& a = intervals[j];
+    if (a.stages.first > a.stages.last) {
+      return malformed("interval bounds must satisfy first <= last");
+    }
+    // d_{j+1} = e_j + 1, without letting e_j + 1 wrap around to stage 0.
+    if (j > 0 && (a.stages.first == 0 || a.stages.first != intervals[j - 1].stages.last + 1)) {
+      return malformed("intervals must be consecutive");
+    }
+    if (a.processors.empty()) return malformed("every interval needs a non-empty replica group");
+    std::sort(a.processors.begin(), a.processors.end());
+    if (std::adjacent_find(a.processors.begin(), a.processors.end()) != a.processors.end()) {
+      return malformed("replica group contains a duplicate processor");
+    }
+    all.insert(all.end(), a.processors.begin(), a.processors.end());
+  }
+  // No group repeats an id, so any repeat left is shared by two groups.
+  std::sort(all.begin(), all.end());
+  if (std::adjacent_find(all.begin(), all.end()) != all.end()) {
+    return malformed("replica groups of distinct intervals must be disjoint");
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 IntervalMapping::IntervalMapping(std::vector<IntervalAssignment> intervals)
     : intervals_(std::move(intervals)) {
-  RELAP_ASSERT(!intervals_.empty(), "an interval mapping needs at least one interval");
-  RELAP_ASSERT(intervals_.front().stages.first == 0, "first interval must start at stage 0");
-  std::unordered_set<platform::ProcessorId> seen;
-  for (std::size_t j = 0; j < intervals_.size(); ++j) {
-    IntervalAssignment& a = intervals_[j];
-    RELAP_ASSERT(a.stages.first <= a.stages.last, "interval bounds must satisfy first <= last");
-    if (j > 0) {
-      RELAP_ASSERT(a.stages.first == intervals_[j - 1].stages.last + 1,
-                   "intervals must be consecutive");
-    }
-    RELAP_ASSERT(!a.processors.empty(), "every interval needs a non-empty replica group");
-    std::sort(a.processors.begin(), a.processors.end());
-    for (std::size_t i = 1; i < a.processors.size(); ++i) {
-      RELAP_ASSERT(a.processors[i - 1] != a.processors[i],
-                   "replica group contains a duplicate processor");
-    }
-    for (const platform::ProcessorId u : a.processors) {
-      RELAP_ASSERT(seen.insert(u).second, "replica groups of distinct intervals must be disjoint");
-    }
-  }
+  const std::optional<util::Error> violation = sort_and_check(intervals_);
+  RELAP_ASSERT(!violation, violation->message);
+}
+
+util::Expected<IntervalMapping> IntervalMapping::make(std::vector<IntervalAssignment> intervals) {
+  if (std::optional<util::Error> violation = sort_and_check(intervals)) return *std::move(violation);
+  return IntervalMapping(std::move(intervals));
 }
 
 IntervalMapping IntervalMapping::single_interval(std::size_t stage_count,

@@ -9,6 +9,11 @@
 /// alloc(j) of processors. Every processor of alloc(j) executes all the
 /// stages of I_j on every data set; groups of distinct intervals must be
 /// disjoint (a processor executes a single interval).
+///
+/// These invariants are written once, in `IntervalMapping::make`; the
+/// constructor asserts through it, and readers of untrusted input call it and
+/// report its error. Fit to a concrete instance (stage count, processor ids
+/// in range) is `validate()`'s job (validate.hpp).
 
 #include <cstddef>
 #include <span>
@@ -16,6 +21,7 @@
 #include <vector>
 
 #include "relap/platform/platform.hpp"
+#include "relap/util/expected.hpp"
 
 namespace relap::mapping {
 
@@ -32,24 +38,24 @@ struct Interval {
 struct IntervalAssignment {
   Interval stages;
   /// Processor ids executing the interval; non-empty, disjoint from all
-  /// other intervals' groups. Kept sorted ascending by the constructor of
-  /// `IntervalMapping` so that equality and hashing are canonical.
+  /// other intervals' groups. Kept sorted ascending by `IntervalMapping` so
+  /// that equality and hashing are canonical.
   std::vector<platform::ProcessorId> processors;
 
   friend bool operator==(const IntervalAssignment&, const IntervalAssignment&) = default;
 };
 
-/// A structurally well-formed interval mapping.
-///
-/// The constructor enforces *structural* invariants (consecutive covering
-/// intervals, non-empty disjoint groups) via RELAP_ASSERT, because violating
-/// them is a programming error. Compatibility with a concrete pipeline and
-/// platform (stage count, processor ids in range) is checked separately by
-/// `validate()` from validate.hpp, because mismatched instances are runtime
-/// inputs when mappings are read from files.
+/// A structurally well-formed interval mapping (see the file comment).
 class IntervalMapping {
  public:
+  /// Sorts each replica group and asserts the structural invariants.
   explicit IntervalMapping(std::vector<IntervalAssignment> intervals);
+
+  /// The checked form: sorts each replica group, then returns the first
+  /// violated invariant (intervals consecutive from stage 0, first <= last,
+  /// groups non-empty, duplicate-free and disjoint) as a "malformed" error.
+  [[nodiscard]] static util::Expected<IntervalMapping> make(
+      std::vector<IntervalAssignment> intervals);
 
   /// The whole pipeline [0, n) as one interval replicated on `processors`.
   [[nodiscard]] static IntervalMapping single_interval(

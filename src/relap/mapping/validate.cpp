@@ -8,23 +8,28 @@ util::Error mismatch(std::string message) { return util::make_error("mismatch", 
 
 }  // namespace
 
-util::Expected<Valid> validate(const pipeline::Pipeline& pipeline,
-                               const platform::Platform& platform,
+util::Expected<Valid> validate(std::size_t stage_count, std::size_t processor_count,
                                const IntervalMapping& mapping) {
-  if (mapping.stage_count() != pipeline.stage_count()) {
+  if (mapping.stage_count() != stage_count) {
     return mismatch("mapping covers " + std::to_string(mapping.stage_count()) +
-                    " stages but the pipeline has " + std::to_string(pipeline.stage_count()));
+                    " stages but the pipeline has " + std::to_string(stage_count));
   }
   for (const IntervalAssignment& a : mapping.intervals()) {
     for (const platform::ProcessorId u : a.processors) {
-      if (u >= platform.processor_count()) {
+      if (u >= processor_count) {
         return mismatch("mapping names processor " + std::to_string(u) +
-                        " but the platform has only " +
-                        std::to_string(platform.processor_count()) + " processors");
+                        " but the platform has only " + std::to_string(processor_count) +
+                        " processors");
       }
     }
   }
   return Valid{};
+}
+
+util::Expected<Valid> validate(const pipeline::Pipeline& pipeline,
+                               const platform::Platform& platform,
+                               const IntervalMapping& mapping) {
+  return validate(pipeline.stage_count(), platform.processor_count(), mapping);
 }
 
 util::Expected<Valid> validate(const pipeline::Pipeline& pipeline,

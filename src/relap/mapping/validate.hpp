@@ -4,12 +4,13 @@
 /// Instance-compatibility validation for mappings.
 ///
 /// Structural invariants (consecutive intervals, disjoint non-empty groups)
-/// are enforced by the mapping constructors as programming contracts. This
-/// module checks the *runtime* conditions that depend on a concrete pipeline
-/// and platform — stage counts matching, processor ids in range, one-to-one
-/// feasibility — and reports failures as `Expected` errors, because mappings
-/// read from instance files or produced by external tools are ordinary
-/// untrusted input.
+/// belong to the mapping types themselves (`IntervalMapping::make` is their
+/// checked form). This module checks the conditions that tie a mapping to a
+/// concrete instance — stage counts matching, processor ids in range,
+/// one-to-one feasibility — and reports failures as "mismatch" errors,
+/// because mappings read from files, snapshots or journals are untrusted
+/// input. The count form serves readers that know an instance only by its
+/// stage and processor counts, such as a cache key (io::read_instance_key_counts).
 
 #include "relap/mapping/general_mapping.hpp"
 #include "relap/mapping/interval_mapping.hpp"
@@ -22,8 +23,12 @@ namespace relap::mapping {
 /// Marker for successful validation.
 struct Valid {};
 
-/// Checks that `mapping` covers exactly the pipeline's stages and only names
-/// processors of `platform`.
+/// Checks that `mapping` covers exactly `stage_count` stages and only names
+/// processors below `processor_count`.
+[[nodiscard]] util::Expected<Valid> validate(std::size_t stage_count, std::size_t processor_count,
+                                             const IntervalMapping& mapping);
+
+/// `validate(pipeline.stage_count(), platform.processor_count(), mapping)`.
 [[nodiscard]] util::Expected<Valid> validate(const pipeline::Pipeline& pipeline,
                                              const platform::Platform& platform,
                                              const IntervalMapping& mapping);

@@ -1,5 +1,6 @@
 #include "relap/pipeline/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "relap/util/assert.hpp"
@@ -9,22 +10,29 @@ namespace relap::pipeline {
 
 namespace {
 
-void check_finite_non_negative(std::span<const double> values, const char* what) {
-  for (const double v : values) {
-    RELAP_ASSERT(std::isfinite(v), what);
-    RELAP_ASSERT(v >= 0.0, what);
-  }
+bool finite_non_negative(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v) && v >= 0.0; });
 }
 
 }  // namespace
 
+std::optional<util::Error> Pipeline::check(std::span<const double> work,
+                                           std::span<const double> data) {
+  using util::malformed;
+  if (work.empty()) return malformed("pipeline needs at least one stage");
+  if (data.size() != work.size() + 1) {
+    return malformed("need exactly n+1 data sizes delta_0..delta_n for n stages");
+  }
+  if (!finite_non_negative(work)) return malformed("stage work must be finite and >= 0");
+  if (!finite_non_negative(data)) return malformed("data sizes must be finite and >= 0");
+  return std::nullopt;
+}
+
 Pipeline::Pipeline(std::vector<double> work, std::vector<double> data)
     : work_(std::move(work)), data_(std::move(data)) {
-  RELAP_ASSERT(!work_.empty(), "pipeline needs at least one stage");
-  RELAP_ASSERT(data_.size() == work_.size() + 1,
-               "need exactly n+1 data sizes delta_0..delta_n for n stages");
-  check_finite_non_negative(work_, "stage work must be finite and >= 0");
-  check_finite_non_negative(data_, "data sizes must be finite and >= 0");
+  const std::optional<util::Error> violation = check(work_, data_);
+  RELAP_ASSERT(!violation, violation->message);
   work_prefix_.resize(work_.size() + 1, 0.0);
   for (std::size_t k = 0; k < work_.size(); ++k) {
     work_prefix_[k + 1] = work_prefix_[k] + work_[k];
@@ -48,7 +56,6 @@ double Pipeline::work_sum(std::size_t first, std::size_t last) const {
 }
 
 Pipeline Pipeline::uniform(std::size_t n, double w, double delta) {
-  RELAP_ASSERT(n >= 1, "pipeline needs at least one stage");
   return Pipeline(std::vector<double>(n, w), std::vector<double>(n + 1, delta));
 }
 

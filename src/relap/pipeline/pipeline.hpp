@@ -16,9 +16,12 @@
 /// delta_{k+1}.
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "relap/util/expected.hpp"
 
 namespace relap::pipeline {
 
@@ -26,11 +29,15 @@ namespace relap::pipeline {
 class Pipeline {
  public:
   /// Builds a pipeline from per-stage work amounts and the n+1 data sizes
-  /// delta_0..delta_n.
-  ///
-  /// Preconditions: `work` non-empty; `data.size() == work.size() + 1`;
-  /// all values finite and non-negative.
+  /// delta_0..delta_n. Asserts that `check(work, data)` passes.
   Pipeline(std::vector<double> work, std::vector<double> data);
+
+  /// The pipeline invariants: `work` non-empty, `data.size() ==
+  /// work.size() + 1`, all values finite and non-negative. Returns the first
+  /// violation as a "malformed" error, so readers of untrusted input can
+  /// report what the constructor would assert on.
+  [[nodiscard]] static std::optional<util::Error> check(std::span<const double> work,
+                                                        std::span<const double> data);
 
   /// Number of stages n.
   [[nodiscard]] std::size_t stage_count() const { return work_.size(); }

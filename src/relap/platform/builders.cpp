@@ -18,27 +18,22 @@ Platform uniform_links(std::vector<double> speeds, std::vector<double> failure_p
 }  // namespace
 
 Platform make_fully_homogeneous(std::size_t m, double s, double b, double fp) {
-  RELAP_ASSERT(m >= 1, "platform needs at least one processor");
   return uniform_links(std::vector<double>(m, s), std::vector<double>(m, fp), b);
 }
 
 Platform make_fully_homogeneous_het_failures(double s, double b,
                                              std::vector<double> failure_probs) {
   const std::size_t m = failure_probs.size();
-  RELAP_ASSERT(m >= 1, "platform needs at least one processor");
   return uniform_links(std::vector<double>(m, s), std::move(failure_probs), b);
 }
 
 Platform make_comm_homogeneous(std::vector<double> speeds, double b, double fp) {
   const std::size_t m = speeds.size();
-  RELAP_ASSERT(m >= 1, "platform needs at least one processor");
   return uniform_links(std::move(speeds), std::vector<double>(m, fp), b);
 }
 
 Platform make_comm_homogeneous(std::vector<double> speeds, double b,
                                std::vector<double> failure_probs) {
-  RELAP_ASSERT(speeds.size() == failure_probs.size(),
-               "need matching speed and failure-probability vectors");
   return uniform_links(std::move(speeds), std::move(failure_probs), b);
 }
 
@@ -76,7 +71,6 @@ PlatformBuilder& PlatformBuilder::link_out(ProcessorId u, double b) {
 
 Platform PlatformBuilder::build() const {
   const std::size_t m = speeds_.size();
-  RELAP_ASSERT(m >= 1, "platform needs at least one processor");
   std::vector<std::vector<double>> link(m, std::vector<double>(m, default_bandwidth_));
   std::vector<double> in(m, default_bandwidth_);
   std::vector<double> out(m, default_bandwidth_);

@@ -10,10 +10,10 @@ namespace relap::platform {
 
 namespace {
 
-void check_positive_finite(std::span<const double> values, const char* what) {
-  for (const double v : values) {
-    RELAP_ASSERT(std::isfinite(v) && v > 0.0, what);
-  }
+bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+
+bool all_finite_positive(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(), finite_positive);
 }
 
 /// True iff all off-diagonal link bandwidths (row-major m-by-m `link`) and
@@ -52,6 +52,41 @@ std::string to_string(FailureClass c) {
   RELAP_UNREACHABLE("invalid FailureClass");
 }
 
+std::optional<util::Error> Platform::check(std::span<const double> speeds,
+                                           std::span<const double> failure_probs,
+                                           const std::vector<std::vector<double>>& link_bandwidth,
+                                           std::span<const double> in_bandwidth,
+                                           std::span<const double> out_bandwidth) {
+  using util::malformed;
+  const std::size_t m = speeds.size();
+  if (m == 0) return malformed("platform needs at least one processor");
+  if (failure_probs.size() != m) return malformed("need one failure probability per processor");
+  if (link_bandwidth.size() != m ||
+      std::any_of(link_bandwidth.begin(), link_bandwidth.end(),
+                  [&](const std::vector<double>& row) { return row.size() != m; })) {
+    return malformed("link bandwidth matrix must be m-by-m");
+  }
+  if (in_bandwidth.size() != m) return malformed("need one P_in bandwidth per processor");
+  if (out_bandwidth.size() != m) return malformed("need one P_out bandwidth per processor");
+
+  if (!all_finite_positive(speeds)) return malformed("processor speeds must be finite and > 0");
+  if (!all_finite_positive(in_bandwidth)) return malformed("P_in bandwidths must be finite and > 0");
+  if (!all_finite_positive(out_bandwidth)) {
+    return malformed("P_out bandwidths must be finite and > 0");
+  }
+  for (std::size_t u = 0; u < m; ++u) {
+    for (std::size_t v = 0; v < m; ++v) {
+      if (u != v && !finite_positive(link_bandwidth[u][v])) {
+        return malformed("link bandwidths must be finite and > 0");
+      }
+    }
+  }
+  for (const double fp : failure_probs) {
+    if (!(fp >= 0.0 && fp <= 1.0)) return malformed("failure probabilities must lie in [0, 1]");
+  }
+  return std::nullopt;
+}
+
 Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs,
                    const std::vector<std::vector<double>>& link_bandwidth,
                    std::vector<double> in_bandwidth, std::vector<double> out_bandwidth)
@@ -61,30 +96,10 @@ Platform::Platform(std::vector<double> speeds, std::vector<double> failure_probs
       out_bandwidth_(std::move(out_bandwidth)),
       comm_class_(CommClass::FullyHeterogeneous),
       failure_class_(FailureClass::Heterogeneous) {
+  const std::optional<util::Error> violation =
+      check(speeds_, failure_probs_, link_bandwidth, in_bandwidth_, out_bandwidth_);
+  RELAP_ASSERT(!violation, violation->message);
   const std::size_t m = speeds_.size();
-  RELAP_ASSERT(m >= 1, "platform needs at least one processor");
-  RELAP_ASSERT(failure_probs_.size() == m, "need one failure probability per processor");
-  RELAP_ASSERT(link_bandwidth.size() == m, "link bandwidth matrix must be m-by-m");
-  for (const auto& row : link_bandwidth) {
-    RELAP_ASSERT(row.size() == m, "link bandwidth matrix must be m-by-m");
-  }
-  RELAP_ASSERT(in_bandwidth_.size() == m, "need one P_in bandwidth per processor");
-  RELAP_ASSERT(out_bandwidth_.size() == m, "need one P_out bandwidth per processor");
-
-  check_positive_finite(speeds_, "processor speeds must be finite and > 0");
-  check_positive_finite(in_bandwidth_, "P_in bandwidths must be finite and > 0");
-  check_positive_finite(out_bandwidth_, "P_out bandwidths must be finite and > 0");
-  for (std::size_t u = 0; u < m; ++u) {
-    for (std::size_t v = 0; v < m; ++v) {
-      if (u == v) continue;
-      RELAP_ASSERT(std::isfinite(link_bandwidth[u][v]) && link_bandwidth[u][v] > 0.0,
-                   "link bandwidths must be finite and > 0");
-    }
-  }
-  for (const double fp : failure_probs_) {
-    RELAP_ASSERT(std::isfinite(fp) && fp >= 0.0 && fp <= 1.0,
-                 "failure probabilities must lie in [0, 1]");
-  }
 
   flat_bandwidth_.resize(m * m);
   for (std::size_t u = 0; u < m; ++u) {

@@ -22,9 +22,12 @@
 /// classifies itself; the polynomial algorithms assert the class they need.
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "relap/util/expected.hpp"
 
 namespace relap::platform {
 
@@ -50,15 +53,22 @@ enum class FailureClass {
 /// Immutable platform description.
 class Platform {
  public:
-  /// Fully general constructor.
-  ///
-  /// Preconditions: all vectors sized `m = speeds.size() >= 1`;
-  /// `link_bandwidth` is an m-by-m matrix (diagonal entries are ignored —
-  /// intra-processor transfers are free); speeds and bandwidths are finite
-  /// and strictly positive; failure probabilities lie in [0, 1].
+  /// Fully general constructor. Asserts that `check` passes on the same
+  /// arguments.
   Platform(std::vector<double> speeds, std::vector<double> failure_probs,
            const std::vector<std::vector<double>>& link_bandwidth,
            std::vector<double> in_bandwidth, std::vector<double> out_bandwidth);
+
+  /// The platform invariants: all vectors sized `m = speeds.size() >= 1`;
+  /// `link_bandwidth` is an m-by-m matrix whose diagonal is ignored
+  /// (intra-processor transfers are free); speeds and bandwidths are finite
+  /// and strictly positive; failure probabilities lie in [0, 1]. Returns the
+  /// first violation as a "malformed" error, so readers of untrusted input
+  /// can report what the constructor would assert on.
+  [[nodiscard]] static std::optional<util::Error> check(
+      std::span<const double> speeds, std::span<const double> failure_probs,
+      const std::vector<std::vector<double>>& link_bandwidth,
+      std::span<const double> in_bandwidth, std::span<const double> out_bandwidth);
 
   /// Number of processors m (excluding P_in / P_out).
   [[nodiscard]] std::size_t processor_count() const { return speeds_.size(); }
@@ -120,21 +130,15 @@ class Platform {
   [[nodiscard]] std::span<const double> in_bandwidths() const { return in_bandwidth_; }
   [[nodiscard]] std::span<const double> out_bandwidths() const { return out_bandwidth_; }
 
-  /// Row-major m-by-m copy of the link-bandwidth matrix for the lane
-  /// kernels' vector gathers: entry [u * m + v] equals `bandwidth(u, v)` for
-  /// u != v. Diagonal entries hold a harmless 1.0 so a masked-out lane whose
-  /// stale indices collide can still gather in bounds without tripping the
-  /// `bandwidth()` precondition; callers must mask such lanes out.
-  [[nodiscard]] std::span<const double> flat_link_bandwidths() const { return flat_bandwidth_; }
-
   /// Reciprocal tables: entry-wise rounded 1/x of the speed and bandwidth
   /// tables, precomputed once at construction. The latency evaluators
   /// multiply by these instead of dividing — a division-throughput
   /// optimisation — and because the scalar oracle and the lane kernels read
   /// the *same* rounded reciprocals, their results stay bit-identical to each
   /// other (each latency term differs from the division form by at most one
-  /// extra rounding). `flat_inv_link_bandwidths()` is row-major m-by-m with a
-  /// harmless 1.0 diagonal, mirroring `flat_link_bandwidths()`.
+  /// extra rounding). `flat_inv_link_bandwidths()` is row-major m-by-m, entry
+  /// [u * m + v] = 1/b_{u,v}; its diagonal holds a harmless 1.0 so a
+  /// masked-out lane whose stale indices collide can still gather in bounds.
   [[nodiscard]] std::span<const double> inv_speeds() const { return inv_speeds_; }
   [[nodiscard]] std::span<const double> inv_in_bandwidths() const { return inv_in_bandwidth_; }
   [[nodiscard]] std::span<const double> inv_out_bandwidths() const { return inv_out_bandwidth_; }
@@ -159,7 +163,7 @@ class Platform {
   std::vector<double> failure_probs_;
   std::vector<double> in_bandwidth_;
   std::vector<double> out_bandwidth_;
-  std::vector<double> flat_bandwidth_;  // row-major m*m; diagonal = 1.0 (see accessor)
+  std::vector<double> flat_bandwidth_;  // row-major m*m; diagonal = 1.0
   std::vector<double> inv_speeds_;          // 1/s_u
   std::vector<double> inv_in_bandwidth_;    // 1/b_{in,u}
   std::vector<double> inv_out_bandwidth_;   // 1/b_{u,out}

@@ -94,20 +94,20 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
     return std::move(*refused);
   }
   if (request.max_evaluations == 0) {
-    return util::make_error("malformed", "max_evaluations must be > 0");
+    return util::malformed("max_evaluations must be > 0");
   }
   if (std::isnan(request.deadline)) {
-    return util::make_error("malformed", "deadline must not be NaN");
+    return util::malformed("deadline must not be NaN");
   }
   if (request.deadline < 0.0) {
-    return util::make_error("malformed", "deadline must be a non-negative number of seconds");
+    return util::malformed("deadline must be a non-negative number of seconds");
   }
   if (request.objective == Objective::ParetoFront && request.pareto_thresholds < 2) {
-    return util::make_error("malformed", "pareto_thresholds must be >= 2 for a front sweep");
+    return util::malformed("pareto_thresholds must be >= 2 for a front sweep");
   }
   if (request.objective != Objective::ParetoFront) {
     if (std::isnan(request.threshold)) {
-      return util::make_error("malformed", "threshold must not be NaN");
+      return util::malformed("threshold must not be NaN");
     }
     if (request.threshold < 0.0) {
       return util::infeasible("no mapping satisfies a negative " +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "relap/io/instance_format.hpp"
@@ -9,14 +10,9 @@
 
 namespace relap::service {
 
+using util::malformed;
+
 namespace {
-
-util::Error malformed(std::string message) {
-  return util::make_error("malformed", std::move(message));
-}
-
-bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
-bool finite_pos(double v) { return std::isfinite(v) && v > 0.0; }
 
 /// The largest power of two <= x (x > 0), or 1.0 for x == 0: the exact
 /// divisor scale normalization uses. Dividing any double by the result only
@@ -116,52 +112,27 @@ util::Expected<CanonicalInstance> canonicalize(const InstanceData& instance) {
   if (n == 0) return malformed("empty pipeline: a request needs at least one stage");
   if (m == 0) return malformed("zero-processor platform: a request needs at least one processor");
 
-  // --- Stage validation: positions form a permutation, values sane. -------
+  // --- Record checks: positions form a permutation, link rows are m wide. -
   std::vector<std::size_t> stage_at(n, n);  // position -> record index
   for (std::size_t i = 0; i < n; ++i) {
-    const LabeledStage& stage = instance.stages[i];
-    if (stage.position >= n) {
-      return malformed("stage position " + std::to_string(stage.position) +
-                       " out of range for " + std::to_string(n) + " stages");
+    const std::size_t position = instance.stages[i].position;
+    if (position >= n) {
+      return malformed("stage position " + std::to_string(position) + " out of range for " +
+                       std::to_string(n) + " stages");
     }
-    if (stage_at[stage.position] != n) {
-      return malformed("duplicate stage position " + std::to_string(stage.position));
+    if (stage_at[position] != n) {
+      return malformed("duplicate stage position " + std::to_string(position));
     }
-    stage_at[stage.position] = i;
-    if (!finite_nonneg(stage.work)) {
-      return malformed("stage work must be finite and >= 0");
-    }
-    if (!finite_nonneg(stage.output_data)) {
-      return malformed("stage output data must be finite and >= 0");
-    }
+    stage_at[position] = i;
   }
-  if (!finite_nonneg(instance.input_data)) {
-    return malformed("pipeline input data must be finite and >= 0");
-  }
-
-  // --- Processor validation. ----------------------------------------------
-  for (std::size_t u = 0; u < m; ++u) {
-    const LabeledProcessor& proc = instance.processors[u];
-    if (!finite_pos(proc.speed)) return malformed("processor speeds must be finite and > 0");
-    if (!(std::isfinite(proc.failure_prob) && proc.failure_prob >= 0.0 &&
-          proc.failure_prob <= 1.0)) {
-      return malformed("failure probabilities must lie in [0, 1]");
-    }
-    if (!finite_pos(proc.in_bandwidth) || !finite_pos(proc.out_bandwidth)) {
-      return malformed("P_in/P_out bandwidths must be finite and > 0");
-    }
+  for (const LabeledProcessor& proc : instance.processors) {
     if (proc.links.size() != m) {
       return malformed("processor link row has " + std::to_string(proc.links.size()) +
                        " entries, expected " + std::to_string(m));
     }
-    for (std::size_t v = 0; v < m; ++v) {
-      if (v != u && !finite_pos(proc.links[v])) {
-        return malformed("link bandwidths must be finite and > 0");
-      }
-    }
   }
 
-  // --- Stage order + scale normalization (exact powers of two). -----------
+  // --- The model's value rules on the raw columns. ------------------------
   std::vector<double> work(n);
   std::vector<double> data(n + 1);
   data[0] = instance.input_data;
@@ -170,36 +141,48 @@ util::Expected<CanonicalInstance> canonicalize(const InstanceData& instance) {
     work[k] = stage.work;
     data[k + 1] = stage.output_data;
   }
-  const double work_scale = pow2_floor(*std::max_element(work.begin(), work.end()));
-  const double data_scale = pow2_floor(*std::max_element(data.begin(), data.end()));
-  for (double& w : work) w /= work_scale;
-  for (double& d : data) d /= data_scale;
-
   std::vector<double> speed(m);
   std::vector<double> fp(m);
   std::vector<double> in_bw(m);
   std::vector<double> out_bw(m);
-  std::vector<std::vector<double>> links(m, std::vector<double>(m, 1.0));
+  std::vector<std::vector<double>> links(m);
   for (std::size_t u = 0; u < m; ++u) {
     const LabeledProcessor& proc = instance.processors[u];
-    speed[u] = proc.speed / work_scale;
+    speed[u] = proc.speed;
     fp[u] = proc.failure_prob;
-    in_bw[u] = proc.in_bandwidth / data_scale;
-    out_bw[u] = proc.out_bandwidth / data_scale;
-    for (std::size_t v = 0; v < m; ++v) {
-      if (v != u) links[u][v] = proc.links[v] / data_scale;
-    }
+    in_bw[u] = proc.in_bandwidth;
+    out_bw[u] = proc.out_bandwidth;
+    links[u] = proc.links;
   }
+  const auto check_columns = [&] {
+    std::optional<util::Error> violation = pipeline::Pipeline::check(work, data);
+    return violation ? violation : platform::Platform::check(speed, fp, links, in_bw, out_bw);
+  };
+  if (std::optional<util::Error> violation = check_columns()) return *std::move(violation);
+
+  // --- Scale normalization (exact powers of two). --------------------------
+  const double work_scale = pow2_floor(*std::max_element(work.begin(), work.end()));
+  const double data_scale = pow2_floor(*std::max_element(data.begin(), data.end()));
+  for (double& w : work) w /= work_scale;
+  for (double& d : data) d /= data_scale;
+  for (double& s : speed) s /= work_scale;
   // Time scale: make the fastest work-normalized speed land in [1, 2). All
   // rates (speeds and bandwidths) divide by it; latencies multiply by it.
   const double time_scale = pow2_floor(*std::max_element(speed.begin(), speed.end()));
   for (std::size_t u = 0; u < m; ++u) {
     speed[u] /= time_scale;
-    in_bw[u] /= time_scale;
-    out_bw[u] /= time_scale;
+    in_bw[u] = in_bw[u] / data_scale / time_scale;
+    out_bw[u] = out_bw[u] / data_scale / time_scale;
     for (std::size_t v = 0; v < m; ++v) {
-      if (v != u) links[u][v] /= time_scale;
+      if (v != u) links[u][v] = links[u][v] / data_scale / time_scale;
     }
+  }
+  // Each value was in range, but dividing by a column's scale can underflow
+  // to 0 or overflow to inf when the columns span more than the double
+  // exponent range: the same rules again, on what gets constructed.
+  if (std::optional<util::Error> violation = check_columns()) {
+    return malformed("instance values span too wide a range to normalize: after scaling, " +
+                     violation->message);
   }
 
   // --- Canonical processor order. -----------------------------------------

@@ -76,8 +76,8 @@ struct PreparedInstance {
 
 /// Validates `instance` and produces its canonical form. Malformed input
 /// (empty pipeline, zero-processor platform, bad position permutation,
-/// non-finite or out-of-range values, ragged link rows) yields a structured
-/// error with code "malformed" — never an assert.
+/// ragged link rows, or columns the model's `check`s refuse before or after
+/// normalization) yields a structured "malformed" error — never an assert.
 [[nodiscard]] util::Expected<CanonicalInstance> canonicalize(const InstanceData& instance);
 
 /// Maps a front solved on the canonical form back to the caller's labeling

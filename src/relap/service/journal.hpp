@@ -34,9 +34,10 @@
 ///     silently discarded (counted, never an error) — that is what a crash
 ///     mid-append leaves behind;
 ///   * a checksum failure with more bytes after it, or a checksum-valid
-///     payload that does not decode (key/hash mismatch, invalid mapping
-///     structure, trailing payload bytes), is "-corrupt": the write
-///     completed, so the damage is not a crash artifact;
+///     payload that does not decode (key/hash mismatch, a front that is not
+///     a valid mapping of its key's instance, trailing payload bytes), is
+///     "-corrupt": the write completed, so the damage is not a crash
+///     artifact;
 ///   * a file cut inside its header is a torn creation: replayed as empty
 ///     (the header is rewritten on open); header fields that are present
 ///     are still checked;

@@ -10,8 +10,8 @@
 /// rather than constructed `Pipeline`/`Platform` objects on purpose: those
 /// constructors treat malformed input as a programming error and abort,
 /// while a multi-tenant broker must reject malformed requests gracefully
-/// with a structured `util::Expected` error. Validation happens inside
-/// `service::canonicalize` before any library type is constructed.
+/// with a structured `util::Expected` error. `service::canonicalize` runs the
+/// model types' own checks before any library type is constructed.
 ///
 /// Labeling model: a stage record carries its semantic pipeline `position`
 /// (stage order is meaningful — a pipeline is a chain), so stage records may

@@ -49,11 +49,12 @@ void emit_err_line(std::string& out, std::uint64_t seq, std::string_view code,
 }
 
 /// Algorithm names carry spaces ("algorithm-1 (fully homogeneous)"); response
-/// fields are whitespace-delimited, so spaces become underscores on the wire.
+/// fields are whitespace-delimited and lines newline-delimited, so spaces and
+/// control bytes become underscores on the wire.
 std::string token_safe(std::string_view text) {
   std::string out(text);
   for (char& c : out) {
-    if (c == ' ' || c == '\t') c = '_';
+    if (static_cast<unsigned char>(c) <= ' ' || c == '\x7f') c = '_';
   }
   return out;
 }

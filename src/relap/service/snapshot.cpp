@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
-#include <unordered_set>
+#include <optional>
 #include <utility>
 
+#include "relap/io/instance_format.hpp"
+#include "relap/mapping/validate.hpp"
 #include "relap/service/faultpoint.hpp"
 #include "relap/service/journal.hpp"
 #include "relap/util/bytes.hpp"
@@ -45,7 +47,10 @@ bool read_count(ByteReader& reader, std::size_t min_record_bytes, std::uint64_t&
   return out <= reader.remaining() / min_record_bytes;
 }
 
-util::Expected<algorithms::FrontReport> decode_front(ByteReader& reader, std::size_t entry_index,
+/// Decodes a front; each mapping must pass `make` and fit the key's `instance`.
+util::Expected<algorithms::FrontReport> decode_front(ByteReader& reader,
+                                                     const io::InstanceKeyCounts& instance,
+                                                     std::size_t entry_index,
                                                      std::string_view error_code) {
   const std::string at = " (entry " + std::to_string(entry_index) + ")";
   const auto corrupt = [&](std::string message) {
@@ -64,14 +69,8 @@ util::Expected<algorithms::FrontReport> decode_front(ByteReader& reader, std::si
         !read_count(reader, 24, interval_count)) {
       return corrupt("truncated front point" + at);
     }
-    if (interval_count == 0) return corrupt("front point with zero intervals" + at);
-
-    // Re-validate every structural invariant IntervalMapping's constructor
-    // asserts; a snapshot is runtime input and must never be able to abort.
     std::vector<mapping::IntervalAssignment> intervals;
     intervals.reserve(static_cast<std::size_t>(interval_count));
-    std::unordered_set<platform::ProcessorId> seen;
-    std::uint64_t next_stage = 0;
     for (std::uint64_t j = 0; j < interval_count; ++j) {
       std::uint64_t first = 0;
       std::uint64_t last = 0;
@@ -80,29 +79,31 @@ util::Expected<algorithms::FrontReport> decode_front(ByteReader& reader, std::si
           !read_count(reader, 8, group_size)) {
         return corrupt("truncated interval" + at);
       }
-      if (first != next_stage || last < first) {
-        return corrupt("non-consecutive interval structure" + at);
-      }
-      next_stage = last + 1;
-      if (group_size == 0) return corrupt("empty replica group" + at);
       std::vector<platform::ProcessorId> group;
       group.reserve(static_cast<std::size_t>(group_size));
       for (std::uint64_t k = 0; k < group_size; ++k) {
         std::uint64_t id = 0;
         if (!reader.read_u64_le(id)) return corrupt("truncated replica group" + at);
+        // A format rule, not a model one: groups are stored sorted, so a
+        // decoded entry re-encodes to the same bytes.
         if (!group.empty() && id <= group.back()) {
           return corrupt("replica group not strictly ascending" + at);
-        }
-        if (!seen.insert(static_cast<platform::ProcessorId>(id)).second) {
-          return corrupt("replica groups not disjoint" + at);
         }
         group.push_back(static_cast<platform::ProcessorId>(id));
       }
       intervals.push_back(mapping::IntervalAssignment{
           {static_cast<std::size_t>(first), static_cast<std::size_t>(last)}, std::move(group)});
     }
-    report.front.push_back(algorithms::ParetoSolution{
-        latency, failure_probability, mapping::IntervalMapping(std::move(intervals))});
+    util::Expected<mapping::IntervalMapping> mapping =
+        mapping::IntervalMapping::make(std::move(intervals));
+    if (!mapping) return corrupt("invalid mapping" + at + ": " + mapping.error().message);
+    const util::Expected<mapping::Valid> fits =
+        mapping::validate(instance.stages, instance.processors, *mapping);
+    if (!fits) {
+      return corrupt("front does not fit its key's instance" + at + ": " + fits.error().message);
+    }
+    report.front.push_back(
+        algorithms::ParetoSolution{latency, failure_probability, std::move(mapping).take()});
   }
 
   std::string_view algorithm;
@@ -146,8 +147,14 @@ util::Expected<FrontCache::ExportedEntry> decode_cache_entry(util::bytes::ByteRe
     return util::make_error(std::string(error_code),
                             "entry " + std::to_string(entry_index) + " key/hash mismatch");
   }
+  const std::optional<io::InstanceKeyCounts> instance = io::read_instance_key_counts(key);
+  if (!instance) {
+    return util::make_error(std::string(error_code),
+                            "entry " + std::to_string(entry_index) + " key names no instance");
+  }
   entry.key = std::string(key);
-  util::Expected<algorithms::FrontReport> front = decode_front(reader, entry_index, error_code);
+  util::Expected<algorithms::FrontReport> front =
+      decode_front(reader, *instance, entry_index, error_code);
   if (!front.has_value()) return front.error();
   entry.value = std::make_shared<const algorithms::FrontReport>(std::move(front).take());
   return entry;

@@ -32,9 +32,10 @@
 ///   * "snapshot-corrupt": an open (unsealed) journal or a torn header, a
 ///     record count that does not match the records present, any torn,
 ///     trailing or checksum-failing record, an entry whose stored hash does
-///     not match its key bytes, or a front whose mapping structure is
-///     invalid (the decoder re-validates every structural invariant
-///     `mapping::IntervalMapping` asserts, *before* constructing one).
+///     not match its key bytes, or a front that is not a valid mapping of
+///     its key's instance (each mapping is built with
+///     `IntervalMapping::make` and `validate`d against the stage and
+///     processor counts that open the key, io::read_instance_key_counts).
 ///
 /// Saves are crash-safe: the snapshot is written to `<path>.tmp` and
 /// renamed over `path` only after a successful flush, so a crash mid-save
@@ -73,8 +74,9 @@ struct SnapshotStats {
 void encode_cache_entry(std::string& out, const FrontCache::ExportedEntry& entry);
 
 /// Decodes one cache entry record from `reader`, re-validating the key/hash
-/// match and every mapping invariant. Failures carry `error_code`
-/// ("snapshot-corrupt" or "journal-corrupt") and name `entry_index`.
+/// match and that every front mapping is a valid mapping of the key's
+/// instance. Failures carry `error_code` ("snapshot-corrupt" or
+/// "journal-corrupt") and name `entry_index`.
 [[nodiscard]] util::Expected<FrontCache::ExportedEntry> decode_cache_entry(
     util::bytes::ByteReader& reader, std::size_t entry_index, std::string_view error_code);
 

@@ -16,11 +16,6 @@ FailureScenario FailureScenario::none(std::size_t processor_count) {
                          std::vector<bool>(processor_count, false)};
 }
 
-FailureScenario FailureScenario::at_times(std::vector<double> times) {
-  const std::size_t m = times.size();
-  return FailureScenario{std::move(times), std::vector<bool>(m, false)};
-}
-
 FailureScenario FailureScenario::draw(const platform::Platform& platform, double horizon,
                                       util::Rng& rng) {
   FailureScenario scenario;
@@ -101,27 +96,6 @@ FailureScenario FailureScenario::worst_case(const pipeline::Pipeline& pipeline,
     }
   }
   return scenario;
-}
-
-bool FailureScenario::dead_at(platform::ProcessorId u, double time) const {
-  RELAP_ASSERT(u < failure_time.size(), "processor id out of range");
-  return failure_time[u] <= time;
-}
-
-bool FailureScenario::application_fails(const mapping::IntervalMapping& mapping) const {
-  for (const mapping::IntervalAssignment& a : mapping.intervals()) {
-    bool any_survivor = false;
-    for (const platform::ProcessorId u : a.processors) {
-      const bool dies =
-          fail_after_first_receive[u] || failure_time[u] < std::numeric_limits<double>::infinity();
-      if (!dies) {
-        any_survivor = true;
-        break;
-      }
-    }
-    if (!any_survivor) return true;
-  }
-  return false;
 }
 
 }  // namespace relap::sim

@@ -33,9 +33,6 @@ struct FailureScenario {
   /// No failures at all.
   [[nodiscard]] static FailureScenario none(std::size_t processor_count);
 
-  /// Explicit death times.
-  [[nodiscard]] static FailureScenario at_times(std::vector<double> times);
-
   /// Random realization of the paper's model: processor u dies with
   /// probability fp_u, at a time uniform in [0, horizon).
   [[nodiscard]] static FailureScenario draw(const platform::Platform& platform, double horizon,
@@ -64,13 +61,6 @@ struct FailureScenario {
   [[nodiscard]] static FailureScenario worst_case(const pipeline::Pipeline& pipeline,
                                                   const platform::Platform& platform,
                                                   const mapping::IntervalMapping& mapping);
-
-  /// True iff `u` is dead at (or before) `time`.
-  [[nodiscard]] bool dead_at(platform::ProcessorId u, double time) const;
-
-  /// True iff at least one interval of `mapping` lost all its replicas —
-  /// the event whose probability the paper's FP formula computes.
-  [[nodiscard]] bool application_fails(const mapping::IntervalMapping& mapping) const;
 };
 
 /// The Eq. (2) sender-side worst-case survivor of a replica group: the

@@ -39,10 +39,6 @@ class CancelToken {
     deadline_ns_.store(deadline.time_since_epoch().count(), std::memory_order_relaxed);
   }
 
-  [[nodiscard]] bool has_deadline() const noexcept {
-    return deadline_ns_.load(std::memory_order_relaxed) != kNoDeadline;
-  }
-
   /// True iff `cancel()` was called or the deadline (if any) has passed.
   /// Reads the clock only when a deadline is armed.
   [[nodiscard]] bool cancelled() const noexcept {

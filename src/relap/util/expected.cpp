@@ -12,6 +12,8 @@ Error infeasible(std::string message) { return Error{"infeasible", std::move(mes
 
 Error budget_exceeded(std::string message) { return Error{"budget", std::move(message)}; }
 
+Error malformed(std::string message) { return Error{"malformed", std::move(message)}; }
+
 Error parse_error(int line, std::string message) {
   return Error{"parse", "line " + std::to_string(line) + ": " + std::move(message)};
 }

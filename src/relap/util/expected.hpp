@@ -70,6 +70,7 @@ class Expected {
 [[nodiscard]] Error make_error(std::string code, std::string message);
 [[nodiscard]] Error infeasible(std::string message);
 [[nodiscard]] Error budget_exceeded(std::string message);
+[[nodiscard]] Error malformed(std::string message);
 [[nodiscard]] Error parse_error(int line, std::string message);
 
 }  // namespace relap::util

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace relap::mapping {
 namespace {
 
@@ -51,6 +53,35 @@ TEST(IntervalMapping, EqualityIsCanonical) {
   const IntervalMapping a = IntervalMapping::single_interval(3, {1, 2});
   const IntervalMapping b = IntervalMapping::single_interval(3, {2, 1});
   EXPECT_EQ(a, b);  // groups sorted on construction
+}
+
+TEST(IntervalMapping, MakeSortsGroupsAndReportsEachViolationAsMalformed) {
+  const auto made = IntervalMapping::make({{{0, 1}, {3, 0}}, {{2, 2}, {1}}});
+  ASSERT_TRUE(made.has_value()) << made.error().to_string();
+  EXPECT_EQ(*made, IntervalMapping({{{0, 1}, {0, 3}}, {{2, 2}, {1}}}));
+
+  using Assignments = std::vector<IntervalAssignment>;
+  const struct {
+    Assignments intervals;
+    const char* message;
+  } cases[] = {
+      {{}, "at least one interval"},
+      {{{{1, 2}, {0}}}, "start at stage 0"},
+      {{{{0, 1}, {0}}, {{3, 4}, {1}}}, "consecutive"},
+      {{{{0, 1}, {}}}, "non-empty"},
+      {{{{0, 1}, {0, 0}}}, "duplicate"},
+      {{{{0, 0}, {0}}, {{1, 1}, {0}}}, "disjoint"},
+      {{{{0, 0}, {0}}, {{1, 0}, {1}}}, "first <= last"},
+      // e_1 + 1 wraps around to 0: not a successor of stage SIZE_MAX.
+      {{{{0, SIZE_MAX}, {0}}, {{0, 0}, {1}}}, "consecutive"},
+  };
+  for (const auto& c : cases) {
+    const auto rejected = IntervalMapping::make(c.intervals);
+    ASSERT_FALSE(rejected.has_value()) << c.message;
+    EXPECT_EQ(rejected.error().code, "malformed");
+    EXPECT_NE(rejected.error().message.find(c.message), std::string::npos)
+        << rejected.error().message;
+  }
 }
 
 TEST(IntervalMappingDeath, StructuralViolations) {

@@ -104,13 +104,31 @@ TEST(InstanceFormat, ErrorsCarryContext) {
       "relap-instance v1\npipeline 1\nwork 1\ndata 1 1\nplatform 1\nspeeds 1\n"
       "failures 1.5\nlinks uniform 1\n");
   ASSERT_FALSE(bad_fp.has_value());
-  EXPECT_NE(bad_fp.error().message.find("[0,1]"), std::string::npos);
+  EXPECT_NE(bad_fp.error().message.find("[0, 1]"), std::string::npos);
 
   const auto trailing = parse_instance(
       "relap-instance v1\npipeline 1\nwork 1\ndata 1 1\nplatform 1\nspeeds 1\n"
       "failures 0.1\nlinks uniform 1\nextra stuff\n");
   ASSERT_FALSE(trailing.has_value());
   EXPECT_NE(trailing.error().message.find("trailing"), std::string::npos);
+}
+
+TEST(InstanceFormat, NonFiniteValuesAreParseErrors) {
+  // Each of these used to reach a model constructor's assert.
+  for (const char* text : {
+           "relap-instance v1\npipeline 1\nwork 1\ndata 1 1\nplatform 2\nspeeds inf 1\n"
+           "failures 0.1 0.1\nlinks uniform 1\n",
+           "relap-instance v1\npipeline 1\nwork inf\ndata 1 1\nplatform 1\nspeeds 1\n"
+           "failures 0.1\nlinks uniform 1\n",
+           "relap-instance v1\npipeline 1\nwork 1\ndata 1 1\nplatform 1\nspeeds 1\n"
+           "failures 0.1\nlinks uniform inf\n",
+       }) {
+    const auto parsed = parse_instance(text);
+    ASSERT_FALSE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed.error().code, "parse") << parsed.error().to_string();
+    EXPECT_NE(parsed.error().message.find("finite"), std::string::npos)
+        << parsed.error().to_string();
+  }
 }
 
 TEST(MappingFormat, RoundTrip) {

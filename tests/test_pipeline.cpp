@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace relap::pipeline {
 namespace {
 
@@ -47,6 +49,29 @@ TEST(Pipeline, ZeroSizesAllowed) {
   const Pipeline p({0.0, 100.0}, {10.0, 1.0, 0.0});
   EXPECT_DOUBLE_EQ(p.work(0), 0.0);
   EXPECT_DOUBLE_EQ(p.data(2), 0.0);
+}
+
+TEST(Pipeline, CheckReportsTheConstructorsRuleAsMalformed) {
+  EXPECT_FALSE(Pipeline::check(std::vector<double>{0.0, 2.0}, std::vector<double>{1.0, 0.0, 3.0}));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    std::vector<double> work;
+    std::vector<double> data;
+    const char* message;
+  } cases[] = {
+      {{}, {1.0}, "at least one stage"},
+      {{1.0}, {1.0}, "n+1 data sizes"},
+      {{-1.0}, {1.0, 1.0}, "stage work"},
+      {{inf}, {1.0, 1.0}, "stage work"},
+      {{1.0}, {1.0, nan}, "data sizes"},
+  };
+  for (const auto& c : cases) {
+    const std::optional<util::Error> violation = Pipeline::check(c.work, c.data);
+    ASSERT_TRUE(violation.has_value()) << c.message;
+    EXPECT_EQ(violation->code, "malformed");
+    EXPECT_NE(violation->message.find(c.message), std::string::npos) << violation->message;
+  }
 }
 
 TEST(Pipeline, EqualityAndDescribe) {

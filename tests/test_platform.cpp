@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace relap::platform {
 namespace {
 
@@ -90,6 +92,37 @@ TEST(Platform, OrderingTiesByIdStable) {
 TEST(Platform, DescribeMentionsClass) {
   const Platform p = make_comm_homogeneous({1.0, 2.0}, 1.0, 0.1);
   EXPECT_NE(p.describe().find("CommHomogeneous"), std::string::npos);
+}
+
+TEST(Platform, CheckReportsTheConstructorsRuleAsMalformed) {
+  const std::vector<double> ones{1.0, 1.0};
+  const std::vector<double> fps{0.0, 1.0};
+  const std::vector<std::vector<double>> links{{0.0, 2.0}, {3.0, -7.0}};  // diagonal ignored
+  EXPECT_FALSE(Platform::check(ones, fps, links, ones, ones));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bad_speed{inf, 1.0};
+  const std::vector<double> bad_fp{0.5, 1.5};
+  const std::vector<double> bad_bw{1.0, 0.0};
+  const std::vector<std::vector<double>> bad_link{{1.0, 1.0}, {inf, 1.0}};
+  const std::vector<std::vector<double>> ragged{{1.0, 1.0}, {1.0}};
+  const struct {
+    std::optional<util::Error> violation;
+    const char* message;
+  } cases[] = {
+      {Platform::check({}, {}, {}, {}, {}), "at least one processor"},
+      {Platform::check(ones, fps, ragged, ones, ones), "m-by-m"},
+      {Platform::check(bad_speed, fps, links, ones, ones), "processor speeds"},
+      {Platform::check(ones, fps, links, bad_bw, ones), "P_in bandwidths"},
+      {Platform::check(ones, fps, links, ones, bad_bw), "P_out bandwidths"},
+      {Platform::check(ones, fps, bad_link, ones, ones), "link bandwidths"},
+      {Platform::check(ones, bad_fp, links, ones, ones), "[0, 1]"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(c.violation.has_value()) << c.message;
+    EXPECT_EQ(c.violation->code, "malformed");
+    EXPECT_NE(c.violation->message.find(c.message), std::string::npos) << c.violation->message;
+  }
 }
 
 TEST(PlatformDeath, RejectsMalformedInputs) {

@@ -13,8 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -24,6 +29,8 @@
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/broker.hpp"
+#include "relap/service/snapshot.hpp"
+#include "relap/util/fs.hpp"
 #include "relap/util/strings.hpp"
 
 namespace relap::service {
@@ -275,6 +282,127 @@ TEST(Server, ProcLinkRowLengthValidatedAtEnd) {
   EXPECT_TRUE(is_err(response, "protocol")) << response;
 }
 
+TEST(Server, UploadsBeyondTheNormalizableRangeAnswerMalformed) {
+  Broker broker;
+  Session session(broker);
+  // Every value is in range, but normalization divides each column by a
+  // power of two near its largest value: the data scale (2^996) underflows
+  // the P_in bandwidth, the work scale the speed.
+  const std::vector<std::vector<std::string>> uploads = {
+      {"instance x", "input 1", "stage 0 1 1e300", "proc 1 0.1 1e-300 1", "end"},
+      {"instance x", "input 1", "stage 0 1e300 1", "proc 1e-300 0.1 1 1", "end"},
+  };
+  for (const std::vector<std::string>& lines : uploads) {
+    for (const std::string& line : lines) (void)feed(session, line);
+    const std::string response = feed(session, "solve x");
+    EXPECT_TRUE(is_err(response, "malformed")) << response;
+    EXPECT_NE(response.find("too wide a range"), std::string::npos) << response;
+    EXPECT_EQ(feed(session, "ping"), "ok pong\n");
+  }
+}
+
+/// `count` numerals of one instance column for the fuzz below. They are
+/// valid for the column: log-uniform over the whole double range (5e-324 to
+/// 1.7e308), or below 1 for failure probabilities. But one column in ten
+/// holds 0, inf, nan or -1 at a random position.
+std::vector<std::string> fuzz_column(std::mt19937_64& rng, std::size_t count, bool probability) {
+  std::vector<std::string> column;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double mantissa = std::uniform_real_distribution<double>(1.0, 2.0)(rng);
+    const int exponent = probability ? -1 - static_cast<int>(rng() % 1074)
+                                     : static_cast<int>(rng() % 2098) - 1074;
+    column.push_back(util::format_double(std::ldexp(mantissa, exponent)));
+  }
+  if (rng() % 10 == 0) {
+    static constexpr const char* kEdges[] = {"0", "inf", "nan", "-1"};
+    const std::size_t at = rng() % count;
+    column[at] = kEdges[rng() % 4];
+  }
+  return column;
+}
+
+/// A random instance block named `f`: 1-4 stages in shuffled record order,
+/// 1-4 processors, links uniform or given per row.
+std::vector<std::string> fuzz_instance_block(std::mt19937_64& rng) {
+  const std::size_t n = 1 + rng() % 4;
+  const std::size_t m = 1 + rng() % 4;
+  const bool uniform_links = rng() % 2 == 0;
+  const std::vector<std::string> input = fuzz_column(rng, 1, false);
+  const std::vector<std::string> work = fuzz_column(rng, n, false);
+  const std::vector<std::string> output = fuzz_column(rng, n, false);
+  const std::vector<std::string> speed = fuzz_column(rng, m, false);
+  const std::vector<std::string> fp = fuzz_column(rng, m, true);
+  const std::vector<std::string> in = fuzz_column(rng, m, false);
+  const std::vector<std::string> out = fuzz_column(rng, m, false);
+  const std::vector<std::string> links = fuzz_column(rng, uniform_links ? 1 : m * m, false);
+
+  std::vector<std::string> lines = {"instance f", "input " + input[0]};
+  std::vector<std::size_t> positions(n);
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  std::shuffle(positions.begin(), positions.end(), rng);
+  for (const std::size_t k : positions) {
+    lines.push_back("stage " + std::to_string(k) + ' ' + work[k] + ' ' + output[k]);
+  }
+  for (std::size_t u = 0; u < m; ++u) {
+    std::string line = "proc " + speed[u] + ' ' + fp[u] + ' ' + in[u] + ' ' + out[u];
+    for (std::size_t v = 0; !uniform_links && v < m; ++v) line += ' ' + links[u * m + v];
+    lines.push_back(std::move(line));
+  }
+  if (uniform_links) lines.push_back("links " + links[0]);
+  lines.emplace_back("end");
+  return lines;
+}
+
+/// True iff every line of `response` is an `ok` line, an `err <seq>` line
+/// or a solve reply's continuation (`trace`, `point`, `done`).
+bool well_formed(const std::string& response) {
+  if (!response.empty() && response.back() != '\n') return false;
+  for (std::size_t start = 0; start < response.size();) {
+    const std::size_t end = response.find('\n', start);
+    const std::string line = response.substr(start, end - start);
+    start = end + 1;
+    if (line.rfind("ok ", 0) != 0 && !is_err(line) && line.rfind("trace ", 0) != 0 &&
+        line.rfind("point ", 0) != 0 && line != "done") {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Server, SeededNumeralFuzzOnlyEverAnswersStructuredLines) {
+  static constexpr const char* kObjectives[] = {"pareto", "minfp", "minlat"};
+  static constexpr const char* kMethods[] = {"auto", "exact", "heuristic", "exhaustive"};
+  std::size_t solved = 0;
+  std::size_t too_wide = 0;
+  for (const std::uint64_t seed : {101U, 202U, 303U}) {
+    Broker broker;
+    Session session(broker);
+    std::mt19937_64 rng(seed);
+    for (int iteration = 0; iteration < 700; ++iteration) {
+      for (const std::string& line : fuzz_instance_block(rng)) {
+        const std::string response = feed(session, line);
+        ASSERT_TRUE(well_formed(response)) << "seed " << seed << ": " << line << " -> " << response;
+      }
+      std::string solve = "solve f obj=";
+      solve += kObjectives[rng() % 3];
+      solve += " method=";
+      solve += kMethods[rng() % 4];
+      solve += " threshold=";
+      solve += fuzz_column(rng, 1, rng() % 2 == 0)[0];
+      solve += " budget=" + std::to_string(1 + rng() % 5000);
+      const std::string response = feed(session, solve);
+      ASSERT_TRUE(well_formed(response)) << "seed " << seed << ": " << solve << " -> " << response;
+      ASSERT_TRUE(response.rfind("ok solve", 0) == 0 || is_err(response)) << response;
+      solved += response.rfind("ok solve", 0) == 0 ? 1 : 0;
+      too_wide += response.find("too wide a range") != std::string::npos ? 1 : 0;
+      ASSERT_EQ(feed(session, "ping"), "ok pong\n") << "seed " << seed << " after " << solve;
+    }
+  }
+  // The draws reach both a real solve and the normalization range rule.
+  EXPECT_GT(solved, 0U);
+  EXPECT_GT(too_wide, 0U);
+}
+
 TEST(Server, ErrSeqCorrelatesWithSessionLineOrdinals) {
   Broker broker;
   Session session(broker);
@@ -378,6 +506,46 @@ TEST(Server, RefusedUploadsAnswerTheirSolvesInAdmissionOrder) {
   }
   EXPECT_EQ(canonicalized.count(), 2U);
   EXPECT_EQ(broker.metrics().canonicalize.count(), 3U);
+}
+
+TEST(Server, StoredAlgorithmNamesCannotSplitAReply) {
+  // A checksum-valid snapshot can carry any algorithm bytes; written raw,
+  // this name would turn the reply header into three protocol lines.
+  const std::string path = std::string(::testing::TempDir()) + "relap_server_algorithm.snap";
+  {
+    Broker broker;
+    Session session(broker);
+    upload(session, "job", 5);
+    ASSERT_NE(feed(session, "solve job").find("ok solve"), std::string::npos);
+    ASSERT_TRUE(broker.save_snapshot(path).has_value());
+  }
+  const util::Expected<std::string> bytes = util::fs::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  util::Expected<std::vector<FrontCache::ExportedEntry>> entries = decode_snapshot(*bytes);
+  ASSERT_TRUE(entries.has_value());
+  ASSERT_EQ(entries->size(), 1U);
+  auto report = std::make_shared<algorithms::FrontReport>(*entries.value()[0].value);
+  report->algorithm = "x\nok pong\nerr 0 injected";
+  entries.value()[0].value = std::move(report);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << encode_snapshot(*entries);
+  }
+
+  Broker broker;
+  ASSERT_TRUE(broker.load_snapshot(path).has_value());
+  Session session(broker);
+  upload(session, "job", 5);
+  const std::string reply = feed(session, "solve job");
+  const std::string header = reply.substr(0, reply.find('\n'));
+  EXPECT_EQ(header.rfind("ok solve name=job cache=hit", 0), 0U) << reply;
+  EXPECT_EQ(field_of(header, "algorithm="), "x_ok_pong_err_0_injected") << header;
+  // The header, the trace line, one line per point and `done`: no more.
+  EXPECT_EQ(static_cast<std::size_t>(std::count(reply.begin(), reply.end(), '\n')),
+            3 + std::stoul(field_of(header, "points=")))
+      << reply;
+  EXPECT_EQ(feed(session, "ping"), "ok pong\n");
+  std::remove(path.c_str());
 }
 
 /// The scripted transcript's session: uploads on three platform classes, a
@@ -884,6 +1052,30 @@ TEST(Server, TcpOverlongLineIsRefusedAndOnlyItsConnectionCloses) {
     client.send_text("ping\nshutdown\n");
     EXPECT_EQ(client.read_all(), "ok pong\nok shutdown\n");
   }
+  accept_thread.join();
+}
+
+TEST(Server, TcpOutOfRangeUploadAnswersErrAndOtherConnectionsKeepServing) {
+  Broker broker;
+  auto bound = TcpServer::bind_localhost(0);
+  ASSERT_TRUE(bound.has_value()) << bound.error().to_string();
+  TcpServer server = std::move(bound.value());
+  std::thread accept_thread([&] { (void)server.serve(broker, ServerOptions{}); });
+
+  // Another tenant is connected before the upload arrives.
+  Client bystander(server.port());
+  ASSERT_TRUE(bystander.connected());
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    client.send_text(
+        "instance wide\ninput 1\nstage 0 1 1e300\nproc 1 0.1 1e-300 1\nend\nsolve wide\nquit\n");
+    const std::string response = client.read_all();
+    EXPECT_NE(response.find("\nerr 6 malformed "), std::string::npos) << response;
+    EXPECT_NE(response.find("ok bye\n"), std::string::npos) << response;
+  }
+  bystander.send_text("ping\nshutdown\n");
+  EXPECT_EQ(bystander.read_all(), "ok pong\nok shutdown\n");
   accept_thread.join();
 }
 

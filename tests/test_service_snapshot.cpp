@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/broker.hpp"
+#include "relap/service/canonical.hpp"
 #include "relap/service/journal.hpp"
 #include "relap/util/bytes.hpp"
 #include "relap/util/hash.hpp"
@@ -358,6 +360,58 @@ TEST(SnapshotSeal, SealedCountRewrittenToItsNeighboursRejects) {
     EXPECT_EQ(restored.cache_stats().entries, 0U);
   }
   std::remove(path.c_str());
+}
+
+// --- A front must fit the instance its key names. ----------------------------
+
+/// A cache entry keyed on the canonical form of a 1-stage, 1-processor
+/// instance, whose front is one point with `mapping`.
+FrontCache::ExportedEntry one_by_one_entry(mapping::IntervalMapping mapping) {
+  std::string key = canonicalize(small_instance(7, 1, 1)).value().key_bytes;
+  auto report = std::make_shared<algorithms::FrontReport>();
+  report->front.push_back(algorithms::ParetoSolution{1.0, 0.5, std::move(mapping)});
+  report->algorithm = "fit-test";
+  const std::uint64_t hash = util::fnv1a(key);
+  return FrontCache::ExportedEntry{hash, std::move(key), std::move(report)};
+}
+
+TEST(SnapshotFit, FrontsThatDoNotFitTheirKeysInstanceAreRefusedAtLoadAndReplay) {
+  const std::string snapshot_path = temp_path("fit");
+  const std::string journal_path = temp_path("fit_journal");
+  const mapping::IntervalMapping misfits[] = {
+      mapping::IntervalMapping::single_interval(1, {7}),  // processor 7 of 1
+      mapping::IntervalMapping::single_interval(2, {0}),  // 2 stages of 1
+  };
+  for (const mapping::IntervalMapping& misfit : misfits) {
+    const FrontCache::ExportedEntry entry = one_by_one_entry(misfit);
+    write_file(snapshot_path, encode_snapshot(std::span(&entry, 1)));
+    Broker loaded;
+    const auto load = loaded.load_snapshot(snapshot_path);
+    ASSERT_FALSE(load.has_value()) << misfit.describe();
+    EXPECT_EQ(load.error().code, "snapshot-corrupt") << load.error().to_string();
+    EXPECT_NE(load.error().message.find("entry 0"), std::string::npos) << load.error().message;
+    EXPECT_EQ(loaded.cache_stats().entries, 0U);
+
+    // The same record as the (final) record of an open journal: it is
+    // checksum-valid, so it is corruption rather than a torn tail.
+    write_file(journal_path, encode_journal_header() + encode_journal_record(entry));
+    Broker replayed;
+    const auto replay = replayed.recover("", journal_path);
+    ASSERT_FALSE(replay.has_value()) << misfit.describe();
+    EXPECT_EQ(replay.error().code, "journal-corrupt") << replay.error().to_string();
+    EXPECT_EQ(replayed.cache_stats().entries, 0U);
+  }
+
+  // Contrast case: the fitting front loads.
+  const FrontCache::ExportedEntry fits =
+      one_by_one_entry(mapping::IntervalMapping::single_interval(1, {0}));
+  write_file(snapshot_path, encode_snapshot(std::span(&fits, 1)));
+  Broker broker;
+  const auto load = broker.load_snapshot(snapshot_path);
+  ASSERT_TRUE(load.has_value()) << load.error().to_string();
+  EXPECT_EQ(load->entries, 1U);
+  std::remove(snapshot_path.c_str());
+  std::remove(journal_path.c_str());
 }
 
 }  // namespace

@@ -33,6 +33,17 @@ TEST(Validate, RejectsUnknownProcessor) {
   EXPECT_NE(r.error().message.find("processor 5"), std::string::npos);
 }
 
+TEST(Validate, CountFormChecksStagesAndProcessorIds) {
+  const IntervalMapping m({{{0, 1}, {0, 2}}, {{2, 2}, {1}}});
+  EXPECT_TRUE(validate(3, 3, m).has_value());
+  const auto short_instance = validate(2, 3, m);
+  ASSERT_FALSE(short_instance.has_value());
+  EXPECT_EQ(short_instance.error().code, "mismatch");
+  const auto few_processors = validate(3, 2, m);
+  ASSERT_FALSE(few_processors.has_value());
+  EXPECT_NE(few_processors.error().message.find("processor 2"), std::string::npos);
+}
+
 TEST(Validate, GeneralMappingChecks) {
   const auto plat = platform::make_fully_homogeneous(2, 1.0, 1.0, 0.1);
   EXPECT_TRUE(validate(three_stages(), plat, GeneralMapping({0, 1, 0})).has_value());
