@@ -11,7 +11,6 @@
 #include "relap/mapping/mapping_lanes.hpp"
 #include "relap/mapping/mapping_view.hpp"
 #include "relap/mapping/throughput.hpp"
-#include "relap/util/assert.hpp"
 #include "relap/util/enumeration.hpp"
 #include "relap/util/pareto.hpp"
 #include "relap/util/simd.hpp"
@@ -125,7 +124,8 @@ class CandidateCursor {
   std::vector<std::size_t> group_sizes_;
 };
 
-using util::simd::effective_lane_width;
+/// Lane width of every enumerator's batched kernel.
+constexpr std::size_t kLanes = util::simd::kDefaultLaneWidth;
 
 /// Enumerates every interval mapping within the options' structural caps
 /// through the zero-allocation evaluation kernel, in parallel on the
@@ -134,12 +134,12 @@ using util::simd::effective_lane_width;
 /// The flat (composition x grouping) index space is cut into fixed
 /// `kCandidatesPerChunk`-sized chunks; each chunk seeks its start by
 /// rank/unrank, walks candidates with the lexicographic successor, stages
-/// admitted candidates into a W-lane `LaneEvalBatch`, and consumes each
-/// flushed batch in push (= candidate index) order into a per-chunk
+/// admitted candidates into a `kLanes`-lane `LaneEvalBatch`, and consumes
+/// each flushed batch in push (= candidate index) order into a per-chunk
 /// accumulator; accumulators merge serially in chunk-index order. Results
-/// are therefore identical at any thread count *and* any lane width, and
-/// chunks are uniform in candidate count even when one composition dominates
-/// the space.
+/// are therefore those of a serial scalar walk in flat-index order, at any
+/// thread count, and chunks are uniform in candidate count even when one
+/// composition dominates the space.
 ///
 /// `visit(acc, view, cache, eval, idx)` sees each admitted candidate's
 /// objectives plus its view/cache (for `period_view`, `materialize`,
@@ -151,11 +151,11 @@ using util::simd::effective_lane_width;
 ///
 /// Returns false iff the candidate count exceeds the evaluation budget (in
 /// which case nothing is evaluated).
-template <std::size_t W, typename Acc, typename Visit, typename Merge>
-bool parallel_interval_enumeration_w(const pipeline::Pipeline& pipeline,
-                                     const platform::Platform& platform,
-                                     const ExhaustiveOptions& options, Acc& out,
-                                     const Visit& visit, const Merge& merge) {
+template <typename Acc, typename Visit, typename Merge>
+bool parallel_interval_enumeration(const pipeline::Pipeline& pipeline,
+                                   const platform::Platform& platform,
+                                   const ExhaustiveOptions& options, Acc& out, const Visit& visit,
+                                   const Merge& merge) {
   const std::size_t n = pipeline.stage_count();
   const std::size_t m = platform.processor_count();
   const std::size_t max_parts = std::min({n, m, options.max_intervals});
@@ -170,9 +170,9 @@ bool parallel_interval_enumeration_w(const pipeline::Pipeline& pipeline,
         // abandons its remaining chunks and the entry point discards the
         // partial accumulators behind a "cancelled" error.
         if (util::cancel_requested(options.cancel)) return;
-        mapping::LaneEvalBatch<W> batch(n, m);
-        std::array<mapping::ViewEval, W> evals;
-        std::array<std::size_t, W> lane_idx{};  // flat index staged per lane
+        mapping::LaneEvalBatch<kLanes> batch(n, m);
+        std::array<mapping::ViewEval, kLanes> evals;
+        std::array<std::size_t, kLanes> lane_idx{};  // flat index staged per lane
         const auto flush = [&] {
           batch.evaluate(platform, evals);
           for (std::size_t l = 0; l < batch.size(); ++l) {
@@ -198,24 +198,6 @@ bool parallel_interval_enumeration_w(const pipeline::Pipeline& pipeline,
       },
       merge, options.pool);
   return true;
-}
-
-/// Width dispatch for the interval enumerators (see
-/// `ExhaustiveOptions::lane_width`).
-template <typename Acc, typename Visit, typename Merge>
-bool parallel_interval_enumeration(const pipeline::Pipeline& pipeline,
-                                   const platform::Platform& platform,
-                                   const ExhaustiveOptions& options, Acc& out, const Visit& visit,
-                                   const Merge& merge) {
-  switch (effective_lane_width(options.lane_width)) {
-    case 1:
-      return parallel_interval_enumeration_w<1>(pipeline, platform, options, out, visit, merge);
-    case 4:
-      return parallel_interval_enumeration_w<4>(pipeline, platform, options, out, visit, merge);
-    case 8:
-      return parallel_interval_enumeration_w<8>(pipeline, platform, options, out, visit, merge);
-    default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-  }
 }
 
 /// Accumulator for the single-best entry points: the incumbent under a
@@ -396,29 +378,30 @@ void merge_ranked(RankedBest& into, RankedBest&& from) {
   if (from.has && (!into.has || from.latency < into.latency)) into = from;
 }
 
-/// Lane-batched chunk scan for the unreplicated enumerators: stages up to W
-/// successive assignments lane-major into `ids`, evaluates them with one
-/// `latency_assignment_lanes` call, and folds the results in rank order —
-/// the same strict-improvement scan as the scalar loop, so ties still go to
-/// the lowest rank at any lane width. `advance()` steps the enumeration to
-/// its successor; it is called exactly once per consumed candidate after the
+/// Lane-batched chunk scan for the unreplicated enumerators: stages up to
+/// `kLanes` successive assignments lane-major into `ids`, evaluates them
+/// with one `latency_assignment_lanes` call, and folds the results in rank
+/// order — the same strict-improvement scan as the scalar loop, so ties
+/// still go to the lowest rank. `advance()` steps the enumeration to its
+/// successor; it is called exactly once per consumed candidate after the
 /// first, never past the last. A final partial batch leaves the unused
 /// lanes' prior (in-bounds) ids in place and ignores their outputs.
-template <std::size_t W, typename Advance>
+template <typename Advance>
 void ranked_lane_scan(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
                       RankedBest& local, std::uint64_t begin, std::uint64_t end,
                       std::span<const platform::ProcessorId> assignment,
                       std::vector<std::uint64_t>& ids, const Advance& advance) {
   const std::size_t n = assignment.size();
-  std::array<double, W> lat;
+  std::array<double, kLanes> lat;
   std::uint64_t idx = begin;
   while (idx < end) {
-    const std::size_t count = static_cast<std::size_t>(std::min<std::uint64_t>(W, end - idx));
+    const std::size_t count =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kLanes, end - idx));
     for (std::size_t l = 0; l < count; ++l) {
       if (l > 0) advance();
-      for (std::size_t k = 0; k < n; ++k) ids[k * W + l] = assignment[k];
+      for (std::size_t k = 0; k < n; ++k) ids[k * kLanes + l] = assignment[k];
     }
-    mapping::latency_assignment_lanes<W>(pipeline, platform, ids.data(), lat.data());
+    mapping::latency_assignment_lanes<kLanes>(pipeline, platform, ids.data(), lat.data());
     for (std::size_t l = 0; l < count; ++l) {
       if (!local.has || lat[l] < local.latency) local = RankedBest{lat[l], idx + l, true};
     }
@@ -427,7 +410,6 @@ void ranked_lane_scan(const pipeline::Pipeline& pipeline, const platform::Platfo
   }
 }
 
-template <std::size_t W>
 RankedBest general_ranked_best(const pipeline::Pipeline& pipeline,
                                const platform::Platform& platform,
                                const util::AssignmentIndexer& indexer, std::uint64_t total,
@@ -437,15 +419,14 @@ RankedBest general_ranked_best(const pipeline::Pipeline& pipeline,
       total, kCandidatesPerChunk, [] { return RankedBest(); },
       [&](RankedBest& local, std::size_t begin, std::size_t end, std::size_t) {
         std::vector<platform::ProcessorId> assignment(n);
-        std::vector<std::uint64_t> ids(n * W, 0);
+        std::vector<std::uint64_t> ids(n * kLanes, 0);
         indexer.unrank(begin, assignment);
-        ranked_lane_scan<W>(pipeline, platform, local, begin, end, assignment, ids,
-                            [&] { indexer.next(assignment); });
+        ranked_lane_scan(pipeline, platform, local, begin, end, assignment, ids,
+                         [&] { indexer.next(assignment); });
       },
       merge_ranked, pool);
 }
 
-template <std::size_t W>
 RankedBest one_to_one_ranked_best(const pipeline::Pipeline& pipeline,
                                   const platform::Platform& platform,
                                   const util::InjectionIndexer& indexer, std::uint64_t total,
@@ -456,10 +437,10 @@ RankedBest one_to_one_ranked_best(const pipeline::Pipeline& pipeline,
       [&](RankedBest& local, std::size_t begin, std::size_t end, std::size_t) {
         std::vector<platform::ProcessorId> assignment(n);
         std::vector<bool> used;
-        std::vector<std::uint64_t> ids(n * W, 0);
+        std::vector<std::uint64_t> ids(n * kLanes, 0);
         indexer.unrank(begin, assignment, used);
-        ranked_lane_scan<W>(pipeline, platform, local, begin, end, assignment, ids,
-                            [&] { indexer.next(assignment, used); });
+        ranked_lane_scan(pipeline, platform, local, begin, end, assignment, ids,
+                         [&] { indexer.next(assignment, used); });
       },
       merge_ranked, pool);
 }
@@ -468,8 +449,8 @@ RankedBest one_to_one_ranked_best(const pipeline::Pipeline& pipeline,
 
 GeneralResult exhaustive_general_min_latency(const pipeline::Pipeline& pipeline,
                                              const platform::Platform& platform,
-                                             std::uint64_t max_evaluations, exec::ThreadPool* pool,
-                                             std::size_t lane_width) {
+                                             std::uint64_t max_evaluations,
+                                             exec::ThreadPool* pool) {
   const std::size_t n = pipeline.stage_count();
   const std::size_t m = platform.processor_count();
   const util::AssignmentIndexer indexer(n, m);
@@ -481,14 +462,7 @@ GeneralResult exhaustive_general_min_latency(const pipeline::Pipeline& pipeline,
                                  std::to_string(max_evaluations) + " evaluations");
   }
 
-  RankedBest best;
-  switch (effective_lane_width(lane_width)) {
-    case 1: best = general_ranked_best<1>(pipeline, platform, indexer, total, pool); break;
-    case 4: best = general_ranked_best<4>(pipeline, platform, indexer, total, pool); break;
-    case 8: best = general_ranked_best<8>(pipeline, platform, indexer, total, pool); break;
-    default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-  }
-
+  const RankedBest best = general_ranked_best(pipeline, platform, indexer, total, pool);
   std::vector<platform::ProcessorId> assignment(n);
   indexer.unrank(best.rank, assignment);
   return GeneralSolution{mapping::GeneralMapping(std::move(assignment)), best.latency};
@@ -497,7 +471,7 @@ GeneralResult exhaustive_general_min_latency(const pipeline::Pipeline& pipeline,
 GeneralResult exhaustive_one_to_one_min_latency(const pipeline::Pipeline& pipeline,
                                                 const platform::Platform& platform,
                                                 std::uint64_t max_evaluations,
-                                                exec::ThreadPool* pool, std::size_t lane_width) {
+                                                exec::ThreadPool* pool) {
   const std::size_t n = pipeline.stage_count();
   const std::size_t m = platform.processor_count();
   if (n > m) return util::infeasible("one-to-one mappings need n <= m");
@@ -509,14 +483,7 @@ GeneralResult exhaustive_one_to_one_min_latency(const pipeline::Pipeline& pipeli
                                  std::to_string(max_evaluations) + " evaluations");
   }
 
-  RankedBest best;
-  switch (effective_lane_width(lane_width)) {
-    case 1: best = one_to_one_ranked_best<1>(pipeline, platform, indexer, total, pool); break;
-    case 4: best = one_to_one_ranked_best<4>(pipeline, platform, indexer, total, pool); break;
-    case 8: best = one_to_one_ranked_best<8>(pipeline, platform, indexer, total, pool); break;
-    default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-  }
-
+  const RankedBest best = one_to_one_ranked_best(pipeline, platform, indexer, total, pool);
   std::vector<platform::ProcessorId> assignment(n);
   std::vector<bool> used;
   indexer.unrank(best.rank, assignment, used);

@@ -46,13 +46,10 @@ struct ExhaustiveOptions {
   /// and the per-chunk results merged in chunk order, so the outcome is
   /// identical at any thread count and chunks stay uniform even when one
   /// composition dominates the candidate count.
+  /// Candidates are evaluated `util::simd::kDefaultLaneWidth` at a time
+  /// through `LaneEvalBatch`, which follows the scalar oracle term for term,
+  /// so every result is bit-identical to a scalar walk of the same order.
   exec::ThreadPool* pool = nullptr;
-  /// SIMD lane width of the batched evaluation kernel: 1, 4 or 8 candidates
-  /// evaluated per `LaneEvalBatch` step, or 0 for the build's default
-  /// (`util::simd::kDefaultLaneWidth`). Results are bit-identical at any
-  /// width — the lane kernels follow the scalar oracle term for term and the
-  /// determinism suite pins W in {1, 4, 8} against each other.
-  std::size_t lane_width = 0;
   /// Optional cooperative cancellation (util/cancel.hpp): polled at chunk
   /// granularity by the parallel drivers. A tripped token makes the entry
   /// point return a "cancelled" error; it never alters a completed result.
@@ -105,22 +102,17 @@ struct ParetoOutcome {
 /// uniform chunks of the base-m rank space (digit 0 fastest — the serial
 /// odometer order); results are identical at any thread count, with ties
 /// resolved to the lowest rank exactly as the serial first-wins scan did.
-/// `lane_width` selects the SIMD batch width (0 = build default; results are
-/// bit-identical at any width).
 [[nodiscard]] GeneralResult exhaustive_general_min_latency(
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    std::uint64_t max_evaluations = 20'000'000, exec::ThreadPool* pool = nullptr,
-    std::size_t lane_width = 0);
+    std::uint64_t max_evaluations = 20'000'000, exec::ThreadPool* pool = nullptr);
 
 /// Exact minimum-latency one-to-one mapping by enumerating all injections
 /// (oracle for the Held-Karp solver). Parallelized over uniform chunks of
 /// the lexicographic injection rank space (the serial DFS order), with the
-/// same lowest-rank tie-breaking guarantee as the general enumerator and the
-/// same `lane_width` convention.
+/// same lowest-rank tie-breaking guarantee as the general enumerator.
 [[nodiscard]] GeneralResult exhaustive_one_to_one_min_latency(
     const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-    std::uint64_t max_evaluations = 20'000'000, exec::ThreadPool* pool = nullptr,
-    std::size_t lane_width = 0);
+    std::uint64_t max_evaluations = 20'000'000, exec::ThreadPool* pool = nullptr);
 
 /// Number of interval-mapping candidates the exhaustive enumerator would
 /// visit on an (n, m) instance — used by benches to report search-space

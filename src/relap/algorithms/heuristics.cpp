@@ -13,7 +13,6 @@
 #include "relap/exec/parallel.hpp"
 #include "relap/mapping/mapping_lanes.hpp"
 #include "relap/mapping/mapping_view.hpp"
-#include "relap/util/assert.hpp"
 #include "relap/util/simd.hpp"
 #include "relap/util/strings.hpp"
 
@@ -22,6 +21,13 @@ namespace relap::algorithms {
 namespace {
 
 using Group = std::vector<platform::ProcessorId>;
+
+/// Beam width: states kept per boundary, half by optimistic latency and the
+/// rest by reliability.
+constexpr std::size_t kBeamWidth = 64;
+/// Replica-group sizes tried per interval by the beam and the greedy-split
+/// ladders go up to this cap.
+constexpr std::size_t kMaxReplication = 16;
 
 /// Distinct candidate replica groups drawn from `available` (any order):
 /// the k most reliable, the k fastest, and the k best speed-reliability
@@ -75,8 +81,7 @@ Group all_processors(const platform::Platform& platform) {
 
 void enumerate_single_interval_candidates(const pipeline::Pipeline& pipeline,
                                           const platform::Platform& platform,
-                                          const HeuristicOptions& options,
-                                          const CandidateSink& sink) {
+                                          const HeuristicOptions&, const CandidateSink& sink) {
   const std::size_t n = pipeline.stage_count();
   const std::vector<platform::ProcessorId> by_rel = platform.by_reliability();
 
@@ -85,8 +90,7 @@ void enumerate_single_interval_candidates(const pipeline::Pipeline& pipeline,
   // processors at least that fast (contains the single-interval optimum,
   // see single_interval.hpp).
   for (Group& g : candidate_groups(platform, all_processors(platform),
-                                   std::max<std::size_t>(options.max_replication,
-                                                         platform.processor_count()))) {
+                                   std::max(kMaxReplication, platform.processor_count()))) {
     sink(evaluate(pipeline, platform, mapping::IntervalMapping::single_interval(n, std::move(g))));
   }
 
@@ -108,8 +112,7 @@ void enumerate_single_interval_candidates(const pipeline::Pipeline& pipeline,
 
 void enumerate_greedy_split_candidates(const pipeline::Pipeline& pipeline,
                                        const platform::Platform& platform,
-                                       const HeuristicOptions& options,
-                                       const CandidateSink& sink) {
+                                       const HeuristicOptions&, const CandidateSink& sink) {
   const std::size_t n = pipeline.stage_count();
   const std::size_t m = platform.processor_count();
 
@@ -128,8 +131,8 @@ void enumerate_greedy_split_candidates(const pipeline::Pipeline& pipeline,
       std::vector<mapping::IntervalAssignment> intervals = base.intervals();
       for (std::size_t extra = 1;
            extra <= std::min(unused_by_rel.size(),
-                             options.max_replication - std::min(options.max_replication,
-                                                                intervals[target].processors.size()));
+                             kMaxReplication - std::min(kMaxReplication,
+                                                        intervals[target].processors.size()));
            ++extra) {
         intervals[target].processors.push_back(unused_by_rel[extra - 1]);
         sink(evaluate(pipeline, platform, mapping::IntervalMapping(intervals)));
@@ -226,11 +229,10 @@ double group_log_survival(const platform::Platform& platform, const Group& g) {
   return std::log1p(-product);
 }
 
-/// Evaluates the beam's surviving final states through the W-lane batch
+/// Evaluates the beam's surviving final states through the lane batch
 /// kernel (ragged `push_intervals` staging), each chunk writing its own
 /// solution slots. Lanes are consumed in push (= state index) order, so the
-/// sink sees the same sequence at any thread count and any lane width.
-template <std::size_t W>
+/// sink sees the same sequence at any thread count.
 void evaluate_beam_finals(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
                           const std::vector<BeamState>& finals,
                           std::vector<std::optional<Solution>>& solutions,
@@ -241,8 +243,8 @@ void evaluate_beam_finals(const pipeline::Pipeline& pipeline, const platform::Pl
   exec::parallel_for_chunks(
       finals.size(), kStatesPerChunk,
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        mapping::LaneEvalBatch<W> batch(n, m);
-        std::array<mapping::ViewEval, W> evals;
+        mapping::LaneEvalBatch<util::simd::kDefaultLaneWidth> batch(n, m);
+        std::array<mapping::ViewEval, util::simd::kDefaultLaneWidth> evals;
         std::size_t base = begin;
         const auto flush = [&] {
           batch.evaluate(platform, evals);
@@ -300,8 +302,8 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
   // (the bound cannot see link identities), so "dominated" states must
   // survive as long as the beam has room.
   const auto prune = [&](std::vector<BeamState>& states) {
-    if (states.size() <= options.beam_width) return;
-    const std::size_t half = std::max<std::size_t>(1, options.beam_width / 2);
+    if (states.size() <= kBeamWidth) return;
+    constexpr std::size_t half = kBeamWidth / 2;
     std::stable_sort(states.begin(), states.end(),
                      [&](const BeamState& a, const BeamState& b) {
                        return optimistic_total(a) < optimistic_total(b);
@@ -313,7 +315,7 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
                      [](const BeamState& a, const BeamState& b) {
                        return a.log_survival > b.log_survival;
                      });
-    for (std::size_t i = half; i < states.size() && kept.size() < options.beam_width; ++i) {
+    for (std::size_t i = half; i < states.size() && kept.size() < kBeamWidth; ++i) {
       kept.push_back(std::move(states[i]));
     }
     states = std::move(kept);
@@ -330,8 +332,7 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
         if (!(state.used_mask & (std::uint64_t{1} << u))) unused.push_back(u);
       }
       if (unused.empty()) continue;
-      const std::vector<Group> groups =
-          candidate_groups(platform, unused, options.max_replication);
+      const std::vector<Group> groups = candidate_groups(platform, unused, kMaxReplication);
       for (std::size_t j = i; j < n; ++j) {
         for (const Group& g : groups) {
           BeamState next = state;
@@ -362,15 +363,10 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
   // kernel (every state writes its own slot), and the sink consumes the
   // solutions serially in state-index order afterwards — the same
   // lowest-rank tie-breaking as the serial scan, so downstream first-wins
-  // incumbents are identical at any thread count and any lane width.
+  // incumbents are identical at any thread count.
   const std::vector<BeamState>& finals = beams[n];
   std::vector<std::optional<Solution>> solutions(finals.size());
-  switch (util::simd::effective_lane_width(options.lane_width)) {
-    case 1: evaluate_beam_finals<1>(pipeline, platform, finals, solutions, options.pool); break;
-    case 4: evaluate_beam_finals<4>(pipeline, platform, finals, solutions, options.pool); break;
-    case 8: evaluate_beam_finals<8>(pipeline, platform, finals, solutions, options.pool); break;
-    default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-  }
+  evaluate_beam_finals(pipeline, platform, finals, solutions, options.pool);
   for (std::optional<Solution>& s : solutions) sink(*std::move(s));
 }
 

@@ -25,9 +25,10 @@
 ///    used-processor set, group of the yet-unsent last interval, partial
 ///    latency, log survival); transitions extend the mapping by one interval
 ///    with a candidate group drawn from the unused processors (k most
-///    reliable / k fastest / k best speed-reliability blend). Exact for the
-///    emitted structure under Eq. (2) because the pending interval's
-///    sender-side cost is added only when its successor group is known.
+///    reliable / k fastest / k best speed-reliability blend, k <= 16), and
+///    64 states survive per boundary. Exact for the emitted structure under
+///    Eq. (2) because the pending interval's sender-side cost is added only
+///    when its successor group is known.
 ///
 /// Processor counts are capped at 64 by the beam state's bitmask; the other
 /// heuristics have no such cap.
@@ -44,20 +45,12 @@ class ThreadPool;
 namespace relap::algorithms {
 
 struct HeuristicOptions {
-  /// Beam width: states kept per boundary, half by optimistic latency and
-  /// the rest by reliability.
-  std::size_t beam_width = 64;
-  /// Replica-group sizes tried per interval go up to this cap.
-  std::size_t max_replication = 16;
   /// Pool for the beam's parallel candidate evaluation; null uses
   /// `exec::ThreadPool::shared()`. Surviving final states are evaluated in
   /// fixed-size chunks (a `LaneEvalBatch` per chunk) and fed to the sink
   /// serially in state-index order, so candidates, ties and results are
   /// identical at any thread count.
   exec::ThreadPool* pool = nullptr;
-  /// SIMD lane width of the beam's batched final evaluation: 1, 4 or 8, or
-  /// 0 for the build default. Results are bit-identical at any width.
-  std::size_t lane_width = 0;
   /// Optional cooperative cancellation (util/cancel.hpp): polled between
   /// generators and per beam level. A tripped token makes the constrained
   /// entry points return a "cancelled" error; a completed result is never

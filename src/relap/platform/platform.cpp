@@ -12,8 +12,23 @@ namespace {
 
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
-bool all_finite_positive(std::span<const double> values) {
-  return std::all_of(values.begin(), values.end(), finite_positive);
+/// The constructor stores 1/v for every speed and bandwidth, and an infinite
+/// entry turns a zero work or data term into 0 * inf = NaN. Of the finite
+/// positive values, only subnormals below 1/DBL_MAX fail this.
+bool finite_reciprocal(double v) { return std::isfinite(1.0 / v); }
+
+bool all_satisfy(std::span<const double> values, bool (*rule)(double)) {
+  return std::all_of(values.begin(), values.end(), rule);
+}
+
+/// `rule` over the off-diagonal entries of the m-by-m `link` matrix.
+bool links_satisfy(const std::vector<std::vector<double>>& link, bool (*rule)(double)) {
+  for (std::size_t u = 0; u < link.size(); ++u) {
+    for (std::size_t v = 0; v < link.size(); ++v) {
+      if (u != v && !rule(link[u][v])) return false;
+    }
+  }
+  return true;
 }
 
 /// True iff all off-diagonal link bandwidths (row-major m-by-m `link`) and
@@ -69,20 +84,26 @@ std::optional<util::Error> Platform::check(std::span<const double> speeds,
   if (in_bandwidth.size() != m) return malformed("need one P_in bandwidth per processor");
   if (out_bandwidth.size() != m) return malformed("need one P_out bandwidth per processor");
 
-  if (!all_finite_positive(speeds)) return malformed("processor speeds must be finite and > 0");
-  if (!all_finite_positive(in_bandwidth)) return malformed("P_in bandwidths must be finite and > 0");
-  if (!all_finite_positive(out_bandwidth)) {
+  if (!all_satisfy(speeds, finite_positive)) {
+    return malformed("processor speeds must be finite and > 0");
+  }
+  if (!all_satisfy(in_bandwidth, finite_positive)) {
+    return malformed("P_in bandwidths must be finite and > 0");
+  }
+  if (!all_satisfy(out_bandwidth, finite_positive)) {
     return malformed("P_out bandwidths must be finite and > 0");
   }
-  for (std::size_t u = 0; u < m; ++u) {
-    for (std::size_t v = 0; v < m; ++v) {
-      if (u != v && !finite_positive(link_bandwidth[u][v])) {
-        return malformed("link bandwidths must be finite and > 0");
-      }
-    }
+  if (!links_satisfy(link_bandwidth, finite_positive)) {
+    return malformed("link bandwidths must be finite and > 0");
   }
   for (const double fp : failure_probs) {
     if (!(fp >= 0.0 && fp <= 1.0)) return malformed("failure probabilities must lie in [0, 1]");
+  }
+  // Last, so every input refused above keeps its message.
+  if (!all_satisfy(speeds, finite_reciprocal) || !all_satisfy(in_bandwidth, finite_reciprocal) ||
+      !all_satisfy(out_bandwidth, finite_reciprocal) ||
+      !links_satisfy(link_bandwidth, finite_reciprocal)) {
+    return malformed("speeds and bandwidths must have finite reciprocals (none below ~5.6e-309)");
   }
   return std::nullopt;
 }

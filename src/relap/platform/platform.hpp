@@ -62,7 +62,8 @@ class Platform {
   /// The platform invariants: all vectors sized `m = speeds.size() >= 1`;
   /// `link_bandwidth` is an m-by-m matrix whose diagonal is ignored
   /// (intra-processor transfers are free); speeds and bandwidths are finite
-  /// and strictly positive; failure probabilities lie in [0, 1]. Returns the
+  /// and strictly positive, with finite reciprocals (no subnormals below
+  /// 1/DBL_MAX); failure probabilities lie in [0, 1]. Returns the
   /// first violation as a "malformed" error, so readers of untrusted input
   /// can report what the constructor would assert on.
   [[nodiscard]] static std::optional<util::Error> check(

@@ -19,6 +19,9 @@ namespace {
 
 namespace simd = util::simd;
 
+/// Trials per step of the Bernoulli lane kernel.
+constexpr std::size_t W = simd::kDefaultLaneWidth;
+
 /// Chunk grains for the parallel trial loops. Both drivers draw via
 /// `util::counter_hash` at absolute per-trial counters, so the grains only
 /// set task granularity — results are invariant to them (and to thread
@@ -31,7 +34,6 @@ constexpr std::size_t kEngineGrain = 16;
 /// the multiplies use `simd::mul_u`'s exact vpmuludq decomposition instead of
 /// per-lane GPR round-trips. Same constants and shift order as
 /// `util::splitmix64_mix`, hence the same bits per lane.
-template <std::size_t W>
 simd::UintLanes<W> mix_lanes(simd::UintLanes<W> z) {
   z = simd::mul_u(simd::xor_u(z, simd::shr_u<30>(z)),
                   simd::broadcast_u<W>(0xBF58476D1CE4E5B9ULL));
@@ -40,17 +42,14 @@ simd::UintLanes<W> mix_lanes(simd::UintLanes<W> z) {
   return simd::xor_u(z, simd::shr_u<31>(z));
 }
 
-/// W-wide Bernoulli replica-survival kernel: trials [begin, end) of the
-/// flattened mapping, W trials per lane step. Replica i of trial t draws
+/// W-wide Bernoulli replica-survival kernel: one step of W trials of the
+/// flattened mapping, one trial per lane. Replica i of trial t draws
 /// `counter_hash(seed, t * R + i)` — for fixed t that is
 /// `mix(base + i * gamma)` with `base = seed + (t * R + 1) * gamma` — and
 /// fails when the unit double lands below its failure probability; a group
 /// is wiped when every replica lane-AND fails, the application when any
-/// group lane-ORs wiped. Returns the failure count over the range. Every
-/// lane reproduces the scalar counter walk bit for bit, so the count is
-/// identical at W in {1, 4, 8}; a final partial step pads with the last
-/// trial and discards the duplicate lanes.
-template <std::size_t W>
+/// group lane-ORs wiped. Returns the failed-lane mask of the step. Every
+/// lane reproduces the scalar counter walk bit for bit.
 simd::UintLanes<W> bernoulli_batch_failed(const simd::UintLanes<W>& base,
                                           std::span<const double> replica_fp,
                                           std::span<const std::size_t> group_offsets) {
@@ -69,10 +68,11 @@ simd::UintLanes<W> bernoulli_batch_failed(const simd::UintLanes<W>& base,
   return failed;
 }
 
-template <std::size_t W>
-std::size_t bernoulli_failures_w(std::uint64_t seed, std::size_t begin, std::size_t end,
-                                 std::span<const double> replica_fp,
-                                 std::span<const std::size_t> group_offsets) {
+/// Failure count over trials [begin, end), W trials per step; a final
+/// partial step pads with the last trial and discards the duplicate lanes.
+std::size_t bernoulli_failures(std::uint64_t seed, std::size_t begin, std::size_t end,
+                               std::span<const double> replica_fp,
+                               std::span<const std::size_t> group_offsets) {
   const std::uint64_t replica_count = replica_fp.size();
   std::size_t failures = 0;
   // Lane l of the running base is trial t0 + l's counter origin
@@ -88,7 +88,7 @@ std::size_t bernoulli_failures_w(std::uint64_t seed, std::size_t begin, std::siz
       simd::broadcast_u<W>(W * replica_count * util::kSplitMix64Gamma);
   std::size_t t0 = begin;
   for (; t0 + W <= end; t0 += W) {
-    failures += simd::count_set_lanes(bernoulli_batch_failed<W>(base, replica_fp, group_offsets));
+    failures += simd::count_set_lanes(bernoulli_batch_failed(base, replica_fp, group_offsets));
     base = simd::add_u(base, step);
   }
   if (t0 < end) {
@@ -98,8 +98,7 @@ std::size_t bernoulli_failures_w(std::uint64_t seed, std::size_t begin, std::siz
       const std::uint64_t t = t0 + std::min(l, count - 1);
       base.v[l] = seed + (t * replica_count + 1) * util::kSplitMix64Gamma;
     }
-    const simd::UintLanes<W> failed =
-        bernoulli_batch_failed<W>(base, replica_fp, group_offsets);
+    const simd::UintLanes<W> failed = bernoulli_batch_failed(base, replica_fp, group_offsets);
     for (std::size_t l = 0; l < count; ++l) failures += failed.v[l] != 0 ? 1 : 0;
   }
   return failures;
@@ -145,21 +144,7 @@ FailureRateEstimate estimate_failure_rate(const platform::Platform& platform,
   const std::size_t failures = exec::parallel_reduce(
       options.trials, kBernoulliGrain, [] { return std::size_t{0}; },
       [&](std::size_t& local_failures, std::size_t begin, std::size_t end, std::size_t) {
-        switch (simd::effective_lane_width(options.lane_width)) {
-          case 1:
-            local_failures += bernoulli_failures_w<1>(options.seed, begin, end, replica_fp,
-                                                      group_offsets);
-            break;
-          case 4:
-            local_failures += bernoulli_failures_w<4>(options.seed, begin, end, replica_fp,
-                                                      group_offsets);
-            break;
-          case 8:
-            local_failures += bernoulli_failures_w<8>(options.seed, begin, end, replica_fp,
-                                                      group_offsets);
-            break;
-          default: RELAP_UNREACHABLE("lane_width must be 0, 1, 4 or 8");
-        }
+        local_failures += bernoulli_failures(options.seed, begin, end, replica_fp, group_offsets);
       },
       [](std::size_t& acc, std::size_t partial) { acc += partial; }, options.pool);
 

@@ -41,12 +41,9 @@ struct MonteCarloOptions {
   /// Pool for the parallel trial loop; null uses `exec::ThreadPool::shared()`.
   /// Results are bit-identical at any thread count: every replica draw is a
   /// `util::counter_hash` at the absolute counter `trial * R + replica`, so
-  /// the realization is independent of the chunk grid.
+  /// the realization is independent of the chunk grid and of the
+  /// `util::simd::kDefaultLaneWidth` trials the kernel draws per step.
   exec::ThreadPool* pool = nullptr;
-  /// SIMD lane width of the Bernoulli trial kernel — W trials are drawn and
-  /// reduced per step: 1, 4 or 8, or 0 for the build default. Counter
-  /// addressing makes the estimate bit-identical at any width.
-  std::size_t lane_width = 0;
 };
 
 struct FailureRateEstimate {

@@ -5,8 +5,6 @@ namespace relap::util::simd {
 const char* isa_name() {
 #if defined(RELAP_SIMD_HAVE_AVX2)
   return "avx2";
-#elif defined(RELAP_SIMD_HAVE_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif

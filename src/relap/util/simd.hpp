@@ -14,11 +14,12 @@
 /// CMakeLists.txt) so no fused multiply-adds can reassociate a Kahan update.
 ///
 /// Dispatch is compile-time: every op is a generic fixed-trip-count loop
-/// with an `if constexpr` AVX2 (4-double blocks) or NEON (2-double blocks)
-/// fast path when the TU is compiled for that ISA. Defining
-/// `RELAP_SIMD_FORCE_SCALAR` (CMake option of the same name) compiles the
-/// portable fallback everywhere — CI builds both and the results must be
-/// bit-identical, which the lane-invariance tests pin.
+/// with an `if constexpr` AVX2 (4-double blocks) fast path when the TU is
+/// compiled for that ISA; every other target, aarch64 included, runs the
+/// generic loops. Defining `RELAP_SIMD_FORCE_SCALAR` (CMake option of the
+/// same name) compiles the portable fallback even under AVX2 — CI builds
+/// both and the results must be bit-identical, which the scalar-walk tests
+/// of the drivers pin.
 ///
 /// uint64 multiply and uint64->double conversion have no single AVX2
 /// instruction, but both are specialized anyway: the low-64 product
@@ -30,12 +31,14 @@
 /// round-trip per lane per step. Both forms are exact (no rounding anywhere),
 /// so they are bit-identical to the generic loops by construction.
 ///
-/// Adding a width: instantiate the kernels for the new `W` (see the explicit
-/// instantiation lists in mapping_lanes.cpp / latency.cpp) and add it to the
-/// drivers' dispatch switches. Adding an ISA: add an `if constexpr` block
-/// per op below, guarded by a detection macro — the op must keep IEEE
-/// semantics (no FMA, no reassociation) and the same NaN/tie behavior as
-/// the generic loop, or the scalar-oracle tests will catch it.
+/// Width: each driver instantiates its kernel once, at `kDefaultLaneWidth`,
+/// so changing the width is a one-constant change. `LaneEvalBatch` and
+/// `latency_assignment_lanes` are also instantiated at W = 1 and 4
+/// (mapping_lanes.cpp / latency.cpp), where the kernel tests pin them
+/// against the scalar oracle. Adding an ISA: add an `if constexpr` block per
+/// op below, guarded by a detection macro — the op must keep IEEE semantics
+/// (no FMA, no reassociation) and the same NaN/tie behavior as the generic
+/// loop, or the scalar-oracle tests will catch it.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,25 +46,17 @@
 #if !defined(RELAP_SIMD_FORCE_SCALAR) && defined(__AVX2__)
 #define RELAP_SIMD_HAVE_AVX2 1
 #include <immintrin.h>
-#elif !defined(RELAP_SIMD_FORCE_SCALAR) && defined(__aarch64__) && defined(__ARM_NEON)
-#define RELAP_SIMD_HAVE_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace relap::util::simd {
 
-/// Default lane width of the batched kernels; drivers accept `lane_width`
-/// overrides of 1 / 4 / 8 and treat 0 as "use the default".
+/// Lane width of every driver's batched kernel (the exhaustive
+/// enumerators, the beam's final evaluation and the Bernoulli trials).
 inline constexpr std::size_t kDefaultLaneWidth = 8;
 
-/// Name of the ISA the lane ops were compiled for ("avx2", "neon" or
-/// "scalar") — recorded in bench metadata.
+/// Name of the ISA the lane ops were compiled for ("avx2" or "scalar") —
+/// recorded in bench metadata.
 [[nodiscard]] const char* isa_name();
-
-/// Resolves a driver's `lane_width` option: 0 means the build default.
-[[nodiscard]] constexpr std::size_t effective_lane_width(std::size_t requested) {
-  return requested == 0 ? kDefaultLaneWidth : requested;
-}
 
 namespace detail {
 constexpr std::size_t alignment_for(std::size_t width) {
@@ -130,21 +125,6 @@ template <std::size_t W>
     }                                                                                \
     return out;                                                                      \
   }
-#elif defined(RELAP_SIMD_HAVE_NEON)
-#define RELAP_SIMD_DOUBLE_BINOP(name, expr, intrinsic)                         \
-  template <std::size_t W>                                                     \
-  [[nodiscard]] inline DoubleLanes<W> name(const DoubleLanes<W>& a,            \
-                                           const DoubleLanes<W>& b) {          \
-    DoubleLanes<W> out;                                                        \
-    if constexpr (W % 2 == 0) {                                                \
-      for (std::size_t i = 0; i < W; i += 2) {                                 \
-        vst1q_f64(out.v + i, intrinsic(vld1q_f64(a.v + i), vld1q_f64(b.v + i))); \
-      }                                                                        \
-    } else {                                                                   \
-      for (std::size_t i = 0; i < W; ++i) out.v[i] = (expr);                   \
-    }                                                                          \
-    return out;                                                                \
-  }
 #else
 #define RELAP_SIMD_DOUBLE_BINOP(name, expr, intrinsic)              \
   template <std::size_t W>                                          \
@@ -156,33 +136,18 @@ template <std::size_t W>
   }
 #endif
 
-#if defined(RELAP_SIMD_HAVE_NEON)
-RELAP_SIMD_DOUBLE_BINOP(add, a.v[i] + b.v[i], vaddq_f64)
-RELAP_SIMD_DOUBLE_BINOP(sub, a.v[i] - b.v[i], vsubq_f64)
-RELAP_SIMD_DOUBLE_BINOP(mul, a.v[i] * b.v[i], vmulq_f64)
-RELAP_SIMD_DOUBLE_BINOP(div, a.v[i] / b.v[i], vdivq_f64)
-#else
 RELAP_SIMD_DOUBLE_BINOP(add, a.v[i] + b.v[i], _mm256_add_pd)
 RELAP_SIMD_DOUBLE_BINOP(sub, a.v[i] - b.v[i], _mm256_sub_pd)
 RELAP_SIMD_DOUBLE_BINOP(mul, a.v[i] * b.v[i], _mm256_mul_pd)
 RELAP_SIMD_DOUBLE_BINOP(div, a.v[i] / b.v[i], _mm256_div_pd)
-#endif
 
 /// min(a, b): a where a < b, else b (ties and NaN pick b — the x86 MINPD /
 /// C ternary semantics). `std::min(acc, x)` is mirrored by `min(x, acc)`.
-#if defined(RELAP_SIMD_HAVE_NEON)
-RELAP_SIMD_DOUBLE_BINOP(min, a.v[i] < b.v[i] ? a.v[i] : b.v[i], vminnmq_f64)
-#else
 RELAP_SIMD_DOUBLE_BINOP(min, a.v[i] < b.v[i] ? a.v[i] : b.v[i], _mm256_min_pd)
-#endif
 
 /// max(a, b): a where a > b, else b (ties and NaN pick b). `std::max(acc, x)`
 /// is mirrored by `max(x, acc)`.
-#if defined(RELAP_SIMD_HAVE_NEON)
-RELAP_SIMD_DOUBLE_BINOP(max, a.v[i] > b.v[i] ? a.v[i] : b.v[i], vmaxnmq_f64)
-#else
 RELAP_SIMD_DOUBLE_BINOP(max, a.v[i] > b.v[i] ? a.v[i] : b.v[i], _mm256_max_pd)
-#endif
 
 #undef RELAP_SIMD_DOUBLE_BINOP
 
@@ -196,13 +161,6 @@ template <std::size_t W>
       _mm256_store_si256(reinterpret_cast<__m256i*>(out.v + i),
                          _mm256_castpd_si256(_mm256_cmp_pd(_mm256_load_pd(a.v + i),
                                                            _mm256_load_pd(b.v + i), _CMP_LT_OQ)));
-    }
-    return out;
-  }
-#elif defined(RELAP_SIMD_HAVE_NEON)
-  if constexpr (W % 2 == 0) {
-    for (std::size_t i = 0; i < W; i += 2) {
-      vst1q_u64(out.v + i, vcltq_f64(vld1q_f64(a.v + i), vld1q_f64(b.v + i)));
     }
     return out;
   }
@@ -226,14 +184,6 @@ template <std::size_t W>
           _mm256_castsi256_pd(_mm256_load_si256(reinterpret_cast<const __m256i*>(mask.v + i)));
       _mm256_store_pd(out.v + i,
                       _mm256_blendv_pd(_mm256_load_pd(b.v + i), _mm256_load_pd(a.v + i), mask_pd));
-    }
-    return out;
-  }
-#elif defined(RELAP_SIMD_HAVE_NEON)
-  if constexpr (W % 2 == 0) {
-    for (std::size_t i = 0; i < W; i += 2) {
-      vst1q_f64(out.v + i,
-                vbslq_f64(vld1q_u64(mask.v + i), vld1q_f64(a.v + i), vld1q_f64(b.v + i)));
     }
     return out;
   }

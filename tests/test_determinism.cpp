@@ -1,25 +1,30 @@
 // Determinism regression tests for the parallel solver hot paths: one seed
 // must yield bit-identical results at 1, 2 and 8 threads, on paper-scale
 // instances. These tests pin the exec subsystem's core contract — fixed
-// chunk grids, per-chunk split RNG streams, index-order reductions.
+// chunk grids, per-chunk split RNG streams, index-order reductions — and
+// the lane kernels' contract: each driver equals a scalar walk.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "relap/algorithms/exhaustive.hpp"
-#include "relap/algorithms/heuristics.hpp"
 #include "relap/algorithms/pareto_driver.hpp"
 #include "relap/exec/thread_pool.hpp"
 #include "relap/gen/paper_instances.hpp"
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
+#include "relap/mapping/latency.hpp"
 #include "relap/service/broker.hpp"
 #include "relap/sim/monte_carlo.hpp"
+#include "relap/util/enumeration.hpp"
+#include "relap/util/pareto.hpp"
 
 namespace relap {
 namespace {
@@ -197,112 +202,126 @@ TEST(Determinism, HeuristicParetoFrontAcrossThreadCounts) {
   }
 }
 
-// --- SIMD lane-width invariance: the lane kernels at W = 4 / 8 must be
-// bit-identical to the W = 1 scalar walk, the same contract thread-count
-// determinism pins for the exec subsystem. -------------------------------
+// --- SIMD lane contract: every driver runs its kernel at the build's one
+// lane width (util::simd::kDefaultLaneWidth), and must equal bit for bit a
+// scalar walk of the same candidates in the same order, written out here.
+// That pins the contract in every build (AVX2, the portable fallback, forced
+// scalar) at the width the build ships. ------------------------------------
 
-constexpr std::size_t kLaneWidths[] = {1, 4, 8};
-
-TEST(Determinism, ExhaustiveParetoAcrossLaneWidths) {
+TEST(Determinism, ExhaustiveParetoEqualsTheScalarFilterOfEveryCandidate) {
   const auto pipe = gen::random_uniform_pipeline(3, 131);
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 6;
   const auto plat = gen::random_fully_heterogeneous(gen_options, 132);
+  const std::size_t n = pipe.stage_count();
+  const std::size_t m = plat.processor_count();
 
-  algorithms::ExhaustiveOptions options;
-  options.lane_width = 1;
-  const auto reference = algorithms::exhaustive_pareto(pipe, plat, options);
-  ASSERT_TRUE(reference.has_value());
+  // The enumerator's flat order: interval count ascending, then
+  // compositions, then groupings, both lexicographic.
+  std::vector<algorithms::Solution> candidates;
+  util::ParetoFront front;
+  for (std::size_t p = 1; p <= std::min(n, m); ++p) {
+    util::for_each_composition(n, p, [&](std::span<const std::size_t> lengths) {
+      if (lengths.size() != p) return true;
+      return util::for_each_grouping(m, p, [&](std::span<const std::size_t> group_of) {
+        std::vector<std::vector<platform::ProcessorId>> groups(p);
+        for (platform::ProcessorId u = 0; u < m; ++u) {
+          if (group_of[u] < p) groups[group_of[u]].push_back(u);
+        }
+        algorithms::Solution s = algorithms::evaluate(
+            pipe, plat, mapping::IntervalMapping::from_composition(lengths, std::move(groups)));
+        front.insert({s.latency, s.failure_probability, candidates.size()});
+        candidates.push_back(std::move(s));
+        return true;
+      });
+    });
+  }
 
-  for (const std::size_t width : kLaneWidths) {
-    options.lane_width = width;
-    const auto outcome = algorithms::exhaustive_pareto(pipe, plat, options);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->evaluations, reference->evaluations) << "lane_width=" << width;
-    expect_same_front(outcome->front, reference->front, width);
+  const auto outcome = algorithms::exhaustive_pareto(pipe, plat);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->evaluations, candidates.size());
+  ASSERT_EQ(outcome->front.size(), front.size());
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    const algorithms::Solution& expected = candidates[front.points()[i].payload];
+    EXPECT_EQ(outcome->front[i].latency, expected.latency) << "point " << i;
+    EXPECT_EQ(outcome->front[i].failure_probability, expected.failure_probability)
+        << "point " << i;
+    EXPECT_EQ(outcome->front[i].mapping, expected.mapping) << "point " << i;
   }
 }
 
-TEST(Determinism, GeneralEnumerationAcrossLaneWidths) {
+/// Folds one scalar-evaluated assignment into the incumbent: the first
+/// strict improvement wins, as in the enumerators' rank-ordered scans.
+void keep_first_best(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                     const std::vector<platform::ProcessorId>& word,
+                     std::optional<mapping::GeneralMapping>& best, double& best_latency) {
+  const double latency = mapping::latency(pipe, plat, std::span<const platform::ProcessorId>(word));
+  if (!best || latency < best_latency) {
+    best.emplace(word);
+    best_latency = latency;
+  }
+}
+
+TEST(Determinism, GeneralEnumerationEqualsTheScalarOdometerWalk) {
   const auto pipe = gen::random_uniform_pipeline(5, 141);
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 5;
   const auto plat = gen::random_fully_heterogeneous(gen_options, 142);
+  const std::size_t n = pipe.stage_count();
+  const std::size_t m = plat.processor_count();
 
-  const auto reference =
-      algorithms::exhaustive_general_min_latency(pipe, plat, 20'000'000, nullptr, 1);
-  ASSERT_TRUE(reference.has_value());
+  // Every stage -> processor word, digit 0 spinning fastest.
+  std::optional<mapping::GeneralMapping> best;
+  double best_latency = 0.0;
+  std::vector<platform::ProcessorId> word(n, 0);
+  for (std::size_t k = 0; k < n;) {
+    keep_first_best(pipe, plat, word, best, best_latency);
+    for (k = 0; k < n && ++word[k] == m; ++k) word[k] = 0;
+  }
 
-  for (const std::size_t width : kLaneWidths) {
-    const auto outcome =
-        algorithms::exhaustive_general_min_latency(pipe, plat, 20'000'000, nullptr, width);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->mapping, reference->mapping) << "lane_width=" << width;
-    EXPECT_EQ(outcome->latency, reference->latency) << "lane_width=" << width;
+  const auto outcome = algorithms::exhaustive_general_min_latency(pipe, plat);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(outcome->mapping, *best);
+  EXPECT_EQ(outcome->latency, best_latency);
+}
+
+/// Lexicographic depth-first walk over the injections extending `word`.
+void walk_injections(const pipeline::Pipeline& pipe, const platform::Platform& plat,
+                     std::vector<platform::ProcessorId>& word, std::vector<bool>& used,
+                     std::optional<mapping::GeneralMapping>& best, double& best_latency) {
+  if (word.size() == pipe.stage_count()) {
+    keep_first_best(pipe, plat, word, best, best_latency);
+    return;
+  }
+  for (platform::ProcessorId u = 0; u < plat.processor_count(); ++u) {
+    if (used[u]) continue;
+    used[u] = true;
+    word.push_back(u);
+    walk_injections(pipe, plat, word, used, best, best_latency);
+    word.pop_back();
+    used[u] = false;
   }
 }
 
-TEST(Determinism, OneToOneEnumerationAcrossLaneWidths) {
+TEST(Determinism, OneToOneEnumerationEqualsTheScalarInjectionWalk) {
+  // 1680 injections: more than one 1024-candidate chunk.
   const auto pipe = gen::random_uniform_pipeline(4, 151);
   gen::PlatformGenOptions gen_options;
   gen_options.processors = 8;
   const auto plat = gen::random_fully_heterogeneous(gen_options, 152);
 
-  const auto reference =
-      algorithms::exhaustive_one_to_one_min_latency(pipe, plat, 20'000'000, nullptr, 1);
-  ASSERT_TRUE(reference.has_value());
+  std::optional<mapping::GeneralMapping> best;
+  double best_latency = 0.0;
+  std::vector<platform::ProcessorId> word;
+  std::vector<bool> used(plat.processor_count(), false);
+  walk_injections(pipe, plat, word, used, best, best_latency);
 
-  for (const std::size_t width : kLaneWidths) {
-    const auto outcome =
-        algorithms::exhaustive_one_to_one_min_latency(pipe, plat, 20'000'000, nullptr, width);
-    ASSERT_TRUE(outcome.has_value()) << "lane_width=" << width;
-    EXPECT_EQ(outcome->mapping, reference->mapping) << "lane_width=" << width;
-    EXPECT_EQ(outcome->latency, reference->latency) << "lane_width=" << width;
-  }
-}
-
-TEST(Determinism, FailureRateEstimateAcrossLaneWidths) {
-  const auto plat = gen::fig5_platform();
-  const auto mapping = gen::fig5_two_interval_mapping();
-
-  sim::MonteCarloOptions options;
-  options.trials = 50'000;
-  options.lane_width = 1;
-  const sim::FailureRateEstimate reference = sim::estimate_failure_rate(plat, mapping, options);
-
-  for (const std::size_t width : kLaneWidths) {
-    options.lane_width = width;
-    expect_same_estimate(sim::estimate_failure_rate(plat, mapping, options), reference, width);
-  }
-}
-
-TEST(Determinism, BeamCandidatesAcrossLaneWidths) {
-  const auto pipe = gen::random_uniform_pipeline(6, 161);
-  gen::PlatformGenOptions gen_options;
-  gen_options.processors = 8;
-  const auto plat = gen::random_comm_hom_het_failures(gen_options, 162);
-
-  const auto collect = [&](std::size_t width) {
-    algorithms::HeuristicOptions options;
-    options.lane_width = width;
-    std::vector<algorithms::Solution> out;
-    algorithms::enumerate_beam_candidates(pipe, plat, options,
-                                          [&](algorithms::Solution s) { out.push_back(std::move(s)); });
-    return out;
-  };
-
-  const std::vector<algorithms::Solution> reference = collect(1);
-  ASSERT_FALSE(reference.empty());
-  for (const std::size_t width : kLaneWidths) {
-    const std::vector<algorithms::Solution> out = collect(width);
-    ASSERT_EQ(out.size(), reference.size()) << "lane_width=" << width;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].latency, reference[i].latency) << "lane_width=" << width << " i=" << i;
-      EXPECT_EQ(out[i].failure_probability, reference[i].failure_probability)
-          << "lane_width=" << width << " i=" << i;
-      EXPECT_EQ(out[i].mapping, reference[i].mapping) << "lane_width=" << width << " i=" << i;
-    }
-  }
+  const auto outcome = algorithms::exhaustive_one_to_one_min_latency(pipe, plat);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(outcome->mapping, *best);
+  EXPECT_EQ(outcome->latency, best_latency);
 }
 
 TEST(Determinism, BrokerWarmRepliesEqualColdAcrossThreadCounts) {

@@ -19,28 +19,32 @@ namespace relap::algorithms {
 namespace {
 
 TEST(HeuristicGenerators, AllEmitValidEvaluatedCandidates) {
+  // Every candidate's objectives equal evaluate() bit for bit — for the
+  // beam, whose finals go through the lane kernel, on Eq. (1) (identical
+  // links) and Eq. (2) (fully heterogeneous) alike.
   const auto pipe = gen::random_uniform_pipeline(4, 21);
   gen::PlatformGenOptions options;
   options.processors = 6;
-  const auto plat = gen::random_comm_hom_het_failures(options, 22);
-  const HeuristicOptions h;
-
-  std::size_t count = 0;
-  const CandidateSink check = [&](Solution s) {
-    ++count;
-    ASSERT_TRUE(mapping::validate(pipe, plat, s.mapping).has_value());
-    EXPECT_TRUE(util::approx_equal(s.latency, mapping::latency(pipe, plat, s.mapping)));
-    EXPECT_TRUE(util::approx_equal(s.failure_probability,
-                                   mapping::failure_probability(plat, s.mapping)));
-  };
-  enumerate_single_interval_candidates(pipe, plat, h, check);
-  const std::size_t after_single = count;
-  enumerate_greedy_split_candidates(pipe, plat, h, check);
-  const std::size_t after_greedy = count;
-  enumerate_beam_candidates(pipe, plat, h, check);
-  EXPECT_GT(after_single, 0u);
-  EXPECT_GT(after_greedy, after_single);
-  EXPECT_GT(count, after_greedy);
+  for (const platform::Platform& plat : {gen::random_comm_hom_het_failures(options, 22),
+                                         gen::random_fully_heterogeneous(options, 23)}) {
+    const HeuristicOptions h;
+    std::size_t count = 0;
+    const CandidateSink check = [&](Solution s) {
+      ++count;
+      ASSERT_TRUE(mapping::validate(pipe, plat, s.mapping).has_value());
+      const Solution expected = evaluate(pipe, plat, s.mapping);
+      EXPECT_EQ(s.latency, expected.latency) << s.describe();
+      EXPECT_EQ(s.failure_probability, expected.failure_probability) << s.describe();
+    };
+    enumerate_single_interval_candidates(pipe, plat, h, check);
+    const std::size_t after_single = count;
+    enumerate_greedy_split_candidates(pipe, plat, h, check);
+    const std::size_t after_greedy = count;
+    enumerate_beam_candidates(pipe, plat, h, check);
+    EXPECT_GT(after_single, 0u);
+    EXPECT_GT(after_greedy, after_single);
+    EXPECT_GT(count, after_greedy);
+  }
 }
 
 TEST(HeuristicSuite, SolvesFig5Optimally) {

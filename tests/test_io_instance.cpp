@@ -131,6 +131,18 @@ TEST(InstanceFormat, NonFiniteValuesAreParseErrors) {
   }
 }
 
+TEST(InstanceFormat, SubnormalRatesAreParseErrors) {
+  // 1e-310 is finite and > 0, but the platform's reciprocal table would
+  // store 1 / 1e-310 = inf, and a zero work or data term times inf is NaN.
+  const auto parsed = parse_instance(
+      "relap-instance v1\npipeline 1\nwork 1\ndata 1 1\nplatform 2\nspeeds 1e-310 1\n"
+      "failures 0.1 0.1\nlinks uniform 1\n");
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, "parse") << parsed.error().to_string();
+  EXPECT_NE(parsed.error().message.find("finite reciprocals"), std::string::npos)
+      << parsed.error().to_string();
+}
+
 TEST(MappingFormat, RoundTrip) {
   const mapping::IntervalMapping original({{{0, 1}, {0, 2}}, {{2, 4}, {1}}});
   const auto reparsed = parse_mapping(format_mapping(original));

@@ -106,6 +106,9 @@ TEST(Platform, CheckReportsTheConstructorsRuleAsMalformed) {
   const std::vector<double> bad_bw{1.0, 0.0};
   const std::vector<std::vector<double>> bad_link{{1.0, 1.0}, {inf, 1.0}};
   const std::vector<std::vector<double>> ragged{{1.0, 1.0}, {1.0}};
+  // Finite and > 0, but 1 / 1e-310 overflows the reciprocal tables to inf.
+  const std::vector<double> subnormal{1.0, 1e-310};
+  const std::vector<std::vector<double>> subnormal_link{{1.0, 1e-310}, {1.0, 1.0}};
   const struct {
     std::optional<util::Error> violation;
     const char* message;
@@ -117,6 +120,10 @@ TEST(Platform, CheckReportsTheConstructorsRuleAsMalformed) {
       {Platform::check(ones, fps, links, ones, bad_bw), "P_out bandwidths"},
       {Platform::check(ones, fps, bad_link, ones, ones), "link bandwidths"},
       {Platform::check(ones, bad_fp, links, ones, ones), "[0, 1]"},
+      {Platform::check(subnormal, fps, links, ones, ones), "finite reciprocals"},
+      {Platform::check(ones, fps, links, subnormal, ones), "finite reciprocals"},
+      {Platform::check(ones, fps, links, ones, subnormal), "finite reciprocals"},
+      {Platform::check(ones, fps, subnormal_link, ones, ones), "finite reciprocals"},
   };
   for (const auto& c : cases) {
     ASSERT_TRUE(c.violation.has_value()) << c.message;

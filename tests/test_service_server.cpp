@@ -301,6 +301,23 @@ TEST(Server, UploadsBeyondTheNormalizableRangeAnswerMalformed) {
   }
 }
 
+TEST(Server, SubnormalRatesAnswerMalformed) {
+  // 1e-310 is finite and > 0, but its reciprocal is inf: with zero work and
+  // data, 0 * inf used to put latency=-nan points on an exact front.
+  Broker broker;
+  Session session(broker);
+  for (const char* line : {"instance tiny", "input 0", "stage 0 0 0", "proc 1 0.1 1 1",
+                           "proc 1e-310 0.2 1e-310 1e-310", "links 1e-310", "end"}) {
+    (void)feed(session, line);
+  }
+  for (const char* solve : {"solve tiny", "solve tiny obj=minlat threshold=0.5"}) {
+    const std::string response = feed(session, solve);
+    EXPECT_TRUE(is_err(response, "malformed")) << response;
+    EXPECT_NE(response.find("finite reciprocals"), std::string::npos) << response;
+    EXPECT_EQ(feed(session, "ping"), "ok pong\n");
+  }
+}
+
 /// `count` numerals of one instance column for the fuzz below. They are
 /// valid for the column: log-uniform over the whole double range (5e-324 to
 /// 1.7e308), or below 1 for failure probabilities. But one column in ten

@@ -8,7 +8,8 @@
 //     simulate_into, optionally traced) performs no heap allocation, counted
 //     by replacing the global allocator in this TU;
 //  3. determinism: run_trials / estimate_failure_rate with the batched
-//     drivers are bit-identical at 1, 2 and 8 threads.
+//     drivers are bit-identical at 1, 2 and 8 threads, and both reproduce
+//     the scalar counter walk of their draws.
 
 #include "relap/sim/engine.hpp"
 
@@ -324,20 +325,37 @@ TEST(SimScratchLanes, DrawIndexedMatchesTheScalarCounterWalk) {
   }
 }
 
-TEST(SimScratchLanes, EstimateFailureRateIsLaneWidthInvariant) {
-  // W=1 runs the scalar counter walk; 4 and 8 run the lane kernel. All
-  // three must agree bit for bit, on every platform class.
+TEST(SimScratchLanes, EstimateFailureRateEqualsTheScalarCounterWalk) {
+  // The Bernoulli lane kernel against the counter scheme written out:
+  // replica i (group-major) of trial t draws counter t*R + i, a group is
+  // wiped when every replica draws below its fp, and a trial fails when any
+  // group is wiped. The trial count leaves a partial last lane step, and
+  // the failure count must match on every platform class.
   exec::ThreadPool serial(1);
   const auto check = [&](const platform::Platform& plat, const mapping::IntervalMapping& m) {
     MonteCarloOptions mc;
-    mc.trials = 30'000;
+    mc.trials = 30'003;
     mc.pool = &serial;
-    mc.lane_width = 1;
-    const FailureRateEstimate reference = estimate_failure_rate(plat, m, mc);
-    for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-      mc.lane_width = width;
-      expect_same_estimate(estimate_failure_rate(plat, m, mc), reference, width);
+    std::size_t replicas = 0;
+    for (const mapping::IntervalAssignment& a : m.intervals()) replicas += a.processors.size();
+    std::size_t failures = 0;
+    for (std::uint64_t t = 0; t < mc.trials; ++t) {
+      std::uint64_t counter = t * replicas;
+      bool failed = false;
+      for (const mapping::IntervalAssignment& a : m.intervals()) {
+        bool wiped = true;
+        for (const platform::ProcessorId u : a.processors) {
+          wiped &= util::to_unit_double(util::counter_hash(mc.seed, counter++)) <
+                   plat.failure_prob(u);
+        }
+        failed |= wiped;
+      }
+      failures += failed ? 1 : 0;
     }
+    const FailureRateEstimate estimate = estimate_failure_rate(plat, m, mc);
+    EXPECT_EQ(estimate.empirical, static_cast<double>(failures) / static_cast<double>(mc.trials))
+        << m.describe();
+    EXPECT_EQ(estimate.trials, mc.trials);
   };
 
   check(gen::fig5_platform(), gen::fig5_two_interval_mapping());

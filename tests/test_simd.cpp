@@ -4,7 +4,7 @@
 // produces on lane l alone, including the sign of zero, tie/NaN selection
 // of min/max, mask semantics of select, and the two-word (sum +
 // compensation) state of the masked Kahan accumulator. These hold for the
-// generic fallback and the AVX2/NEON fast paths alike; CI compiles both.
+// generic fallback and the AVX2 fast path alike; CI compiles both.
 
 #include "relap/util/simd.hpp"
 
@@ -217,16 +217,9 @@ TEST(SimdLanes, UnmaskedKahanMatchesScalar) {
   }
 }
 
-TEST(SimdLanes, EffectiveLaneWidthResolvesDefault) {
-  EXPECT_EQ(effective_lane_width(0), kDefaultLaneWidth);
-  EXPECT_EQ(effective_lane_width(1), 1u);
-  EXPECT_EQ(effective_lane_width(4), 4u);
-  EXPECT_EQ(effective_lane_width(8), 8u);
-}
-
 TEST(SimdLanes, IsaNameIsOneOfTheKnownBackends) {
   const std::string isa = isa_name();
-  EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;
+  EXPECT_TRUE(isa == "avx2" || isa == "scalar") << isa;
 }
 
 }  // namespace
