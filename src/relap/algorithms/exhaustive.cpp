@@ -261,8 +261,8 @@ util::Expected<ParetoOutcome> exhaustive_pareto(const pipeline::Pipeline& pipeli
                                                 const ExhaustiveOptions& options) {
   // Payloads are flat candidate indices, not materialized mappings: the hot
   // loop only maintains (latency, FP, index) fronts, and the few surviving
-  // candidates are re-derived and materialized once after the scan — the
-  // same rank-instead-of-mapping trick the unreplicated enumerators use.
+  // candidates are re-derived by the cursor and built once after the scan —
+  // the same rank-instead-of-mapping trick the unreplicated enumerators use.
   struct FrontAccumulator {
     util::ParetoFront front;
     std::uint64_t evaluations = 0;
@@ -289,13 +289,15 @@ util::Expected<ParetoOutcome> exhaustive_pareto(const pipeline::Pipeline& pipeli
   const std::size_t m = platform.processor_count();
   const CandidateSpace space = build_candidate_space(n, m, std::min({n, m, options.max_intervals}));
   CandidateCursor cursor(space);
-  mapping::LaneEvalBatch<1> staging(n, m);
   for (const util::ParetoPoint& point : acc.front.points()) {
     cursor.seek(point.payload);
-    staging.set_composition(pipeline, cursor.lengths());
-    staging.push_grouping(cursor.group_of(), cursor.group_sizes());
-    outcome.front.push_back(ParetoSolution{point.x, point.y, mapping::materialize(staging.view(0))});
-    staging.clear();
+    std::vector<std::vector<platform::ProcessorId>> groups(cursor.lengths().size());
+    for (platform::ProcessorId u = 0; u < m; ++u) {
+      if (cursor.group_of()[u] < groups.size()) groups[cursor.group_of()[u]].push_back(u);
+    }
+    outcome.front.push_back(ParetoSolution{
+        point.x, point.y,
+        mapping::IntervalMapping::from_composition(cursor.lengths(), std::move(groups))});
   }
   return outcome;
 }

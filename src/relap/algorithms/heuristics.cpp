@@ -1,7 +1,6 @@
 #include "relap/algorithms/heuristics.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,10 +9,6 @@
 #include <utility>
 
 #include "relap/algorithms/local_search.hpp"
-#include "relap/exec/parallel.hpp"
-#include "relap/mapping/mapping_lanes.hpp"
-#include "relap/mapping/mapping_view.hpp"
-#include "relap/util/simd.hpp"
 #include "relap/util/strings.hpp"
 
 namespace relap::algorithms {
@@ -229,42 +224,6 @@ double group_log_survival(const platform::Platform& platform, const Group& g) {
   return std::log1p(-product);
 }
 
-/// Evaluates the beam's surviving final states through the lane batch
-/// kernel (ragged `push_intervals` staging), each chunk writing its own
-/// solution slots. Lanes are consumed in push (= state index) order, so the
-/// sink sees the same sequence at any thread count.
-void evaluate_beam_finals(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-                          const std::vector<BeamState>& finals,
-                          std::vector<std::optional<Solution>>& solutions,
-                          exec::ThreadPool* pool) {
-  const std::size_t n = pipeline.stage_count();
-  const std::size_t m = platform.processor_count();
-  constexpr std::size_t kStatesPerChunk = 8;
-  exec::parallel_for_chunks(
-      finals.size(), kStatesPerChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        mapping::LaneEvalBatch<util::simd::kDefaultLaneWidth> batch(n, m);
-        std::array<mapping::ViewEval, util::simd::kDefaultLaneWidth> evals;
-        std::size_t base = begin;
-        const auto flush = [&] {
-          batch.evaluate(platform, evals);
-          for (std::size_t l = 0; l < batch.size(); ++l) {
-            const std::size_t i = base + l;
-            solutions[i].emplace(Solution{mapping::IntervalMapping(finals[i].intervals),
-                                          evals[l].latency, evals[l].failure_probability});
-          }
-          base += batch.size();
-          batch.clear();
-        };
-        for (std::size_t i = begin; i < end; ++i) {
-          batch.push_intervals(pipeline, finals[i].intervals);
-          if (batch.full()) flush();
-        }
-        if (!batch.empty()) flush();
-      },
-      pool);
-}
-
 }  // namespace
 
 void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
@@ -354,20 +313,12 @@ void enumerate_beam_candidates(const pipeline::Pipeline& pipeline,
   }
 
   prune(beams[n]);
-  // The evaluated latency re-derives the prefix plus the final pending term;
-  // the view kernel recomputes from scratch as the single source of truth
-  // (bit-identical to evaluate()), and the owning mapping is built once per
-  // surviving state instead of round-tripping through a second copy.
-  //
-  // Evaluation is chunked over the surviving states through the lane batch
-  // kernel (every state writes its own slot), and the sink consumes the
-  // solutions serially in state-index order afterwards — the same
-  // lowest-rank tie-breaking as the serial scan, so downstream first-wins
-  // incumbents are identical at any thread count.
-  const std::vector<BeamState>& finals = beams[n];
-  std::vector<std::optional<Solution>> solutions(finals.size());
-  evaluate_beam_finals(pipeline, platform, finals, solutions, options.pool);
-  for (std::optional<Solution>& s : solutions) sink(*std::move(s));
+  // Survivors are scored from scratch by the scalar oracle (a state's
+  // running prefix lacks the last interval's term and sums in another
+  // order) and sunk in state order, which the sink's first-wins ties follow.
+  for (BeamState& state : beams[n]) {
+    sink(evaluate(pipeline, platform, mapping::IntervalMapping(std::move(state.intervals))));
+  }
 }
 
 namespace {

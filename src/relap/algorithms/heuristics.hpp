@@ -30,6 +30,12 @@
 ///    Eq. (2) because the pending interval's sender-side cost is added only
 ///    when its successor group is known.
 ///
+/// Every generator scores its candidates with the scalar oracle
+/// (`evaluate()`, types.hpp) on the calling thread and feeds the sink in a
+/// fixed order, so candidates and ties never depend on a thread count.
+/// Scoring the beam's 64 finals is a tiny share of the search that finds
+/// them; the lane kernel (mapping_lanes.hpp) serves the enumerators only.
+///
 /// Processor counts are capped at 64 by the beam state's bitmask; the other
 /// heuristics have no such cap.
 
@@ -38,19 +44,9 @@
 #include "relap/algorithms/types.hpp"
 #include "relap/util/cancel.hpp"
 
-namespace relap::exec {
-class ThreadPool;
-}  // namespace relap::exec
-
 namespace relap::algorithms {
 
 struct HeuristicOptions {
-  /// Pool for the beam's parallel candidate evaluation; null uses
-  /// `exec::ThreadPool::shared()`. Surviving final states are evaluated in
-  /// fixed-size chunks (a `LaneEvalBatch` per chunk) and fed to the sink
-  /// serially in state-index order, so candidates, ties and results are
-  /// identical at any thread count.
-  exec::ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (util/cancel.hpp): polled between
   /// generators and per beam level. A tripped token makes the constrained
   /// entry points return a "cancelled" error; a completed result is never

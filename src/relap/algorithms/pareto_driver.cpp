@@ -76,10 +76,8 @@ std::vector<ParetoSolution> heuristic_pareto_front(const pipeline::Pipeline& pip
   return sweep_latency_thresholds(
       pipeline, platform,
       [&](double max_latency) {
-        HeuristicOptions heuristic;
-        heuristic.pool = options.pool;
-        heuristic.cancel = options.cancel;
-        return heuristic_min_fp_for_latency(pipeline, platform, max_latency, heuristic);
+        return heuristic_min_fp_for_latency(pipeline, platform, max_latency,
+                                            HeuristicOptions{options.cancel});
       },
       options);
 }

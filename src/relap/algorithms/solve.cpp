@@ -63,7 +63,8 @@ util::Expected<SolveReport> solve_min_fp_for_latency(const pipeline::Pipeline& p
                 "exhaustive", true);
   };
   const auto heuristic = [&] {
-    return wrap(heuristic_min_fp_for_latency(pipeline, platform, max_latency, options.heuristic),
+    return wrap(heuristic_min_fp_for_latency(pipeline, platform, max_latency,
+                                             HeuristicOptions{options.exhaustive.cancel}),
                 "heuristic suite + local search", false);
   };
   return dispatch(pipeline, platform, options, poly, exhaustive, heuristic);
@@ -89,7 +90,7 @@ util::Expected<SolveReport> solve_min_latency_for_fp(const pipeline::Pipeline& p
   const auto heuristic = [&] {
     return wrap(
         heuristic_min_latency_for_fp(pipeline, platform, max_failure_probability,
-                                     options.heuristic),
+                                     HeuristicOptions{options.exhaustive.cancel}),
         "heuristic suite + local search", false);
   };
   return dispatch(pipeline, platform, options, poly, exhaustive, heuristic);
@@ -107,13 +108,13 @@ util::Expected<FrontReport> solve_pareto_front(const pipeline::Pipeline& pipelin
   const auto heuristic = [&]() -> util::Expected<FrontReport> {
     ParetoDriverOptions driver;
     driver.thresholds = options.pareto_thresholds;
-    driver.pool = options.heuristic.pool;
-    driver.cancel = options.heuristic.cancel;
+    driver.pool = options.exhaustive.pool;
+    driver.cancel = options.exhaustive.cancel;
     // The sweep's per-threshold solver is the heuristic suite, so the front
     // inherits its determinism contract (bit-identical at any thread count).
     std::vector<ParetoSolution> front = heuristic_pareto_front(pipeline, platform, driver);
     // A cancelled sweep is partial: report the cancellation, not the front.
-    if (util::cancel_requested(options.heuristic.cancel)) {
+    if (util::cancel_requested(options.exhaustive.cancel)) {
       return util::make_error("cancelled", "pareto sweep was cancelled before completing");
     }
     return FrontReport{std::move(front), "heuristic front sweep", false, 0};

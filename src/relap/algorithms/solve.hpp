@@ -39,8 +39,10 @@ struct SolveOptions {
   /// heuristic front (pareto_driver.hpp); ignored on the exhaustive path,
   /// which enumerates the exact front directly.
   std::size_t pareto_thresholds = 24;
+  /// Enumeration caps, plus the pool and cancellation token every path runs
+  /// on: the enumeration, the front sweep, and the constrained heuristics
+  /// (which read only the token).
   ExhaustiveOptions exhaustive;
-  HeuristicOptions heuristic;
 };
 
 struct SolveReport {

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "relap/mapping/latency.hpp"
 #include "relap/util/bytes.hpp"
 #include "relap/util/strings.hpp"
 
@@ -169,14 +170,18 @@ util::Expected<Instance> parse_instance(std::string_view text) {
     return util::parse_error(reader.peek().number, "unexpected trailing content");
   }
 
-  // The value rules are the model types' own, reported as parse errors.
+  // The value rules are the model types' own, then the joint latency rule,
+  // all reported as parse errors.
   std::optional<util::Error> violation = pipeline::Pipeline::check(*work, *data);
   if (!violation) violation = platform::Platform::check(*speeds, *failures, link, in, out);
   if (violation) return util::parse_error(0, violation->message);
 
-  return Instance{pipeline::Pipeline(std::move(*work), std::move(*data)),
-                  platform::Platform(std::move(*speeds), std::move(*failures), std::move(link),
-                                     std::move(in), std::move(out))};
+  Instance instance{pipeline::Pipeline(std::move(*work), std::move(*data)),
+                    platform::Platform(std::move(*speeds), std::move(*failures), std::move(link),
+                                       std::move(in), std::move(out))};
+  violation = mapping::check_latency_range(instance.pipeline, instance.platform, 1.0);
+  if (violation) return util::parse_error(0, violation->message);
+  return instance;
 }
 
 util::Expected<Instance> load_instance(const std::string& path) {

@@ -162,4 +162,30 @@ double latency_lower_bound(const pipeline::Pipeline& pipeline,
          pipeline.data(pipeline.stage_count()) / best_out;
 }
 
+std::optional<util::Error> check_latency_range(const pipeline::Pipeline& pipeline,
+                                               const platform::Platform& platform,
+                                               double time_scale) {
+  const std::size_t m = platform.processor_count();
+  double slowest_speed = std::numeric_limits<double>::infinity();
+  double slowest_link = std::numeric_limits<double>::infinity();
+  for (platform::ProcessorId u = 0; u < m; ++u) {
+    slowest_speed = std::min(slowest_speed, platform.speed(u));
+    slowest_link = std::min({slowest_link, platform.bandwidth_in(u), platform.bandwidth_out(u)});
+    for (platform::ProcessorId v = 0; v < m; ++v) {
+      if (v != u) slowest_link = std::min(slowest_link, platform.bandwidth(u, v));
+    }
+  }
+  double largest_data = 0.0;
+  for (std::size_t k = 0; k <= pipeline.stage_count(); ++k) {
+    largest_data = std::max(largest_data, pipeline.data(k));
+  }
+  const double bound = pipeline.total_work() / slowest_speed +
+                       static_cast<double>(m + 1) * largest_data / slowest_link;
+  constexpr double kLimit = std::numeric_limits<double>::max() / 2;
+  if (bound <= kLimit && bound / time_scale <= kLimit) return std::nullopt;
+  return util::malformed(
+      "latencies can overflow: total work / slowest speed + (processors + 1) * largest data "
+      "size / slowest bandwidth must stay below half the largest double");
+}
+
 }  // namespace relap::mapping

@@ -33,12 +33,14 @@
 /// boundary where the processor changes, plus the P_in / P_out transfers.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "relap/mapping/general_mapping.hpp"
 #include "relap/mapping/interval_mapping.hpp"
 #include "relap/pipeline/pipeline.hpp"
 #include "relap/platform/platform.hpp"
+#include "relap/util/expected.hpp"
 
 namespace relap::mapping {
 
@@ -90,5 +92,18 @@ void latency_assignment_lanes(const pipeline::Pipeline& pipeline,
 /// output transfers. Used by benches and tests as a sanity floor.
 [[nodiscard]] double latency_lower_bound(const pipeline::Pipeline& pipeline,
                                          const platform::Platform& platform);
+
+/// The joint instance rule that keeps every interval mapping's latency
+/// finite. No mapping computes more than the total work on the slowest
+/// processor or sends more than m + 1 messages (one per replica, one to
+/// P_out), so W_total / s_min + (m + 1) * delta_max / b_min, with b_min over
+/// P_in, P_out and the off-diagonal links, bounds every latency. That bound,
+/// and the bound divided by `time_scale` (a canonical instance's caller
+/// units; 1 otherwise), must stay below half the largest double: headroom
+/// for the evaluators' rounding. Returns the violation as a "malformed"
+/// error; readers of untrusted input run it after the model types' checks.
+[[nodiscard]] std::optional<util::Error> check_latency_range(const pipeline::Pipeline& pipeline,
+                                                             const platform::Platform& platform,
+                                                             double time_scale);
 
 }  // namespace relap::mapping

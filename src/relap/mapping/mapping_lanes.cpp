@@ -19,13 +19,6 @@ LaneEvalBatch<W>::LaneEvalBatch(std::size_t stage_count, std::size_t processor_c
     s.cache.data_first.reserve(pcap_);
     s.cache.out_size.reserve(pcap_);
   }
-  slot_of_lane_.fill(kNoSlot);
-  for (CompositionCache& c : cache_) {
-    c.work.reserve(pcap_);
-    c.data_first.reserve(pcap_);
-    c.out_size.reserve(pcap_);
-  }
-  stage_offsets_l_.resize(W * (pcap_ + 1), 0);
   group_offsets_l_.resize(W * (pcap_ + 1), 0);
   processors_l_.resize(W * mcap_, 0);
   cursor_.resize(pcap_, 0);
@@ -111,67 +104,10 @@ void LaneEvalBatch<W>::push_grouping(std::span<const std::size_t> group_of,
       proc_[(g * mcap_ + r) * W + lane] = u;
     }
   }
+  // Zeroed group sizes past the lane's structure make every `r < k` mask
+  // false there; the other stale staging stays in bounds and is masked out.
   for (std::size_t j = p; j < pcap_; ++j) ksize_u_[j * W + lane] = 0;
   p_u_[lane] = p;
-  if (p > pmax_) pmax_ = p;
-}
-
-template <std::size_t W>
-void LaneEvalBatch<W>::push_intervals(const pipeline::Pipeline& pipeline,
-                                      std::span<const IntervalAssignment> intervals) {
-  RELAP_ASSERT(size_ < W, "batch is full");
-  const std::size_t p = intervals.size();
-  RELAP_ASSERT(p >= 1 && p <= pcap_, "an interval mapping needs 1..pcap intervals");
-  const std::size_t lane = size_++;
-  slot_of_lane_[lane] = kNoSlot;
-
-  CompositionCache& c = cache_[lane];
-  c.work.resize(p);
-  c.data_first.resize(p);
-  c.out_size.resize(p);
-  std::size_t* so = stage_offsets_l_.data() + lane * (pcap_ + 1);
-  std::size_t* go = group_offsets_l_.data() + lane * (pcap_ + 1);
-  platform::ProcessorId* procs = processors_l_.data() + lane * mcap_;
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < p; ++j) {
-    const IntervalAssignment& a = intervals[j];
-    so[j] = a.stages.first;
-    go[j] = count;
-    for (std::size_t i = 0; i < a.processors.size(); ++i) {
-      RELAP_ASSERT(i == 0 || a.processors[i - 1] < a.processors[i],
-                   "interval groups must be sorted ascending (canonical form)");
-      procs[count++] = a.processors[i];
-    }
-    c.work[j] = pipeline.work_sum(a.stages.first, a.stages.last);
-    c.data_first[j] = pipeline.data(a.stages.first);
-    c.out_size[j] = pipeline.data(a.stages.last + 1);
-  }
-  so[p] = intervals.back().stages.last + 1;
-  go[p] = count;
-  c.data_out = pipeline.data(pipeline.stage_count());
-
-  stage_lane_columns(lane, p);
-}
-
-/// Interval-mode column staging: scatters the contiguous per-lane rows
-/// written by `push_intervals` into the lane-major columns. Zeroed group
-/// sizes past the lane's structure make every `r < k` / `j < p` mask
-/// naturally false there; other staging stays stale (valid ids, finite
-/// doubles) and is discarded by the masks.
-template <std::size_t W>
-void LaneEvalBatch<W>::stage_lane_columns(std::size_t lane, std::size_t p) {
-  const std::size_t* go = group_offsets_l_.data() + lane * (pcap_ + 1);
-  const platform::ProcessorId* procs = processors_l_.data() + lane * mcap_;
-  p_u_[lane] = p;
-  for (std::size_t j = 0; j < p; ++j) {
-    const std::size_t k = go[j + 1] - go[j];
-    ksize_u_[j * W + lane] = k;
-    if (k > kmax_j_[j]) kmax_j_[j] = k;
-    for (std::size_t r = 0; r < k; ++r) {
-      proc_[(j * mcap_ + r) * W + lane] = procs[go[j] + r];
-    }
-  }
-  for (std::size_t j = p; j < pcap_; ++j) ksize_u_[j * W + lane] = 0;
   if (p > pmax_) pmax_ = p;
 }
 
@@ -186,10 +122,8 @@ void LaneEvalBatch<W>::clear() {
 template <std::size_t W>
 MappingView LaneEvalBatch<W>::view(std::size_t lane) const {
   RELAP_ASSERT(lane < size_, "lane out of range");
-  const std::size_t slot = slot_of_lane_[lane];
   const std::size_t p = static_cast<std::size_t>(p_u_[lane]);
-  const std::size_t* so = slot == kNoSlot ? stage_offsets_l_.data() + lane * (pcap_ + 1)
-                                          : slots_[slot].stage_offsets.data();
+  const std::size_t* so = slots_[slot_of_lane_[lane]].stage_offsets.data();
   const std::size_t* go = group_offsets_l_.data() + lane * (pcap_ + 1);
   return MappingView{std::span<const std::size_t>(so, p + 1),
                      std::span<const platform::ProcessorId>(
@@ -210,15 +144,14 @@ void LaneEvalBatch<W>::evaluate(const platform::Platform& platform,
   const U p_lanes = simd::load_u<W>(p_u_.data());
 
   // Source of the composition columns: a batch whose lanes all pin the same
-  // slot (the common enumeration case) broadcasts straight from it; a mixed
-  // batch falls back to filling the lane-major scratch columns from each
-  // lane's pinned composition.
+  // slot (the common case) broadcasts straight from it; a batch that spans a
+  // composition wrap falls back to filling the lane-major scratch columns
+  // from each lane's pinned composition.
   const CompositionCache* uni = nullptr;
   {
     const std::size_t s0 = slot_of_lane_[0];
-    bool uniform = s0 != kNoSlot;
-    for (std::size_t l = 1; l < size_ && uniform; ++l) uniform = slot_of_lane_[l] == s0;
-    if (uniform) {
+    if (std::all_of(slot_of_lane_.begin(), slot_of_lane_.begin() + size_,
+                    [s0](std::size_t s) { return s == s0; })) {
       uni = &slots_[s0].cache;
     } else {
       for (std::size_t l = 0; l < size_; ++l) {

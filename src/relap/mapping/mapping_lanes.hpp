@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file mapping_lanes.hpp
-/// Lane-batched candidate evaluation: the one evaluator every enumerator
-/// and the beam's final scoring run on.
+/// Lane-batched candidate evaluation: the one evaluator every interval
+/// mapping enumerator runs on (algorithms/exhaustive.cpp).
 ///
 /// `LaneEvalBatch<W>` evaluates up to `W` interval mappings at once, one per
 /// SIMD lane, on top of preallocated lane-major SoA staging buffers (group
@@ -20,12 +20,10 @@
 /// under a false mask are discarded, and stale staging ids stay in bounds
 /// so gathers never fault.
 ///
-/// Two staging modes:
-///  * enumeration: `set_composition` once per composition, then
-///    `push_grouping` per candidate — the composition columns are copied
-///    into the pushed lane, so one batch may span a composition wrap;
-///  * heuristics: `push_intervals` per candidate with explicit interval
-///    assignments (per-lane compositions, per-lane interval counts).
+/// One staging mode: `set_composition` once per composition, then
+/// `push_grouping` per candidate. Each pushed lane pins the composition slot
+/// it was staged under, so one batch may span a composition wrap (lanes of
+/// different compositions and interval counts).
 ///
 /// After warm-up no method allocates (counting-allocator pinned); a batch
 /// is reused clear/push/evaluate for the whole enumeration chunk.
@@ -50,7 +48,6 @@
 #include <span>
 #include <vector>
 
-#include "relap/mapping/interval_mapping.hpp"
 #include "relap/mapping/mapping_view.hpp"
 #include "relap/pipeline/pipeline.hpp"
 #include "relap/platform/platform.hpp"
@@ -79,12 +76,6 @@ class LaneEvalBatch {
   void push_grouping(std::span<const std::size_t> group_of,
                      std::span<const std::size_t> group_sizes);
 
-  /// Stages one candidate from explicit interval assignments (the
-  /// heuristics' representation).
-  /// Precondition: `!full()`; groups sorted ascending (canonical form).
-  void push_intervals(const pipeline::Pipeline& pipeline,
-                      std::span<const IntervalAssignment> intervals);
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool full() const { return size_ == W; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -103,8 +94,7 @@ class LaneEvalBatch {
 
   /// Per-lane composition cache (for `period_view`).
   [[nodiscard]] const CompositionCache& cache(std::size_t lane) const {
-    const std::size_t s = slot_of_lane_[lane];
-    return s == kNoSlot ? cache_[lane] : slots_[s].cache;
+    return slots_[slot_of_lane_[lane]].cache;
   }
 
  private:
@@ -118,26 +108,20 @@ class LaneEvalBatch {
     std::vector<std::size_t> stage_offsets;  // p + 1 entries
     std::size_t p = 0;
   };
-  static constexpr std::size_t kNoSlot = W + 1;  ///< lane staged via push_intervals
-
-  void stage_lane_columns(std::size_t lane, std::size_t p);
 
   std::size_t mcap_;  ///< max processors
   std::size_t pcap_;  ///< max interval count = min(stage, processor caps)
   std::size_t size_ = 0;
   std::size_t pmax_ = 0;  ///< widest staged lane's interval count
 
-  // Composition slot ring (enumeration mode); see CompositionSlot.
+  // Composition slot ring; see CompositionSlot.
   std::array<CompositionSlot, W + 1> slots_;
   std::size_t active_slot_ = 0;
   std::array<std::size_t, W + 1> slot_refs_{};  ///< lanes pinning each slot
   std::array<std::size_t, W> slot_of_lane_{};
 
-  // Canonical per-lane rows backing `view(lane)` / `cache(lane)`
-  // (grouping-mode lanes read their composition from the pinned slot and
-  // only stage_offsets_l_ is interval-mode-specific).
-  std::array<CompositionCache, W> cache_;
-  std::vector<std::size_t> stage_offsets_l_;       // W rows of pcap_+1
+  // Canonical per-lane rows backing `view(lane)`; the lane's stage offsets
+  // and composition cache live in its pinned slot.
   std::vector<std::size_t> group_offsets_l_;       // W rows of pcap_+1
   std::vector<platform::ProcessorId> processors_l_;  // W rows of mcap_
   std::vector<std::size_t> cursor_;                // pcap_ scratch (counting sort)

@@ -20,7 +20,7 @@
 ///  * `period_view` — the period filter of the tri-criteria solvers,
 ///    bit-identical to `period()` on the equivalent `IntervalMapping`.
 ///  * `materialize` — the owning mapping a view describes, built only for
-///    the rare candidates that enter a front or displace an incumbent.
+///    the rare candidates that displace an incumbent.
 
 #include <cstddef>
 #include <span>

@@ -1,8 +1,5 @@
 #include "relap/mapping/reliability.hpp"
 
-#include <cmath>
-#include <limits>
-
 #include "relap/util/assert.hpp"
 
 namespace relap::mapping {
@@ -21,25 +18,6 @@ double failure_probability(const platform::Platform& platform, const IntervalMap
     survival *= 1.0 - group_failure_probability(platform, a.processors);
   }
   return 1.0 - survival;
-}
-
-double log_survival_probability(const platform::Platform& platform,
-                                const IntervalMapping& mapping) {
-  double log_survival = 0.0;
-  for (const IntervalAssignment& a : mapping.intervals()) {
-    const double group_fp = group_failure_probability(platform, a.processors);
-    if (group_fp >= 1.0) return -std::numeric_limits<double>::infinity();
-    log_survival += std::log1p(-group_fp);
-  }
-  return log_survival;
-}
-
-double min_achievable_failure_probability(const platform::Platform& platform) {
-  double product = 1.0;
-  for (platform::ProcessorId u = 0; u < platform.processor_count(); ++u) {
-    product *= platform.failure_prob(u);
-  }
-  return product;  // 1 - (1 - prod fp_u) for the single all-processor interval
 }
 
 }  // namespace relap::mapping

@@ -8,10 +8,10 @@
 ///
 ///   FP(mapping) = 1 - prod_j ( 1 - prod_{u in alloc(j)} fp_u ).
 ///
-/// For heavily replicated mappings, prod fp_u underflows harmlessly to 0;
-/// the dual problem — distinguishing survival probabilities extremely close
-/// to 1 — is the numerically delicate one, so a log-domain evaluator of
-/// log(1 - FP) built on log1p is provided for tests and tie-breaking.
+/// For heavily replicated mappings, prod fp_u underflows harmlessly to 0.
+/// FP is formed in the linear domain, term for term as the lane kernel
+/// (mapping_lanes.hpp) transcribes it, so both round alike: an FP below
+/// about 1e-16 rounds to 0.
 
 #include <vector>
 
@@ -27,17 +27,5 @@ namespace relap::mapping {
 /// Global failure probability FP of an interval mapping, in [0, 1].
 [[nodiscard]] double failure_probability(const platform::Platform& platform,
                                          const IntervalMapping& mapping);
-
-/// log(1 - FP) = sum_j log1p(-prod_{u in alloc(j)} fp_u), computed without
-/// forming 1 - FP. More negative means less reliable; 0 means certain
-/// success. Returns -infinity when some interval is certain to fail
-/// (all its replicas have fp_u = 1).
-[[nodiscard]] double log_survival_probability(const platform::Platform& platform,
-                                              const IntervalMapping& mapping);
-
-/// Failure probability of the degenerate "no replication anywhere" bound:
-/// the minimum achievable FP on this platform, reached by replicating a
-/// single interval on all m processors (Theorem 1).
-[[nodiscard]] double min_achievable_failure_probability(const platform::Platform& platform);
 
 }  // namespace relap::mapping

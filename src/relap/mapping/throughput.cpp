@@ -56,9 +56,4 @@ double period(const pipeline::Pipeline& pipeline, const platform::Platform& plat
   return worst;
 }
 
-double throughput(const pipeline::Pipeline& pipeline, const platform::Platform& platform,
-                  const IntervalMapping& mapping) {
-  return 1.0 / period(pipeline, platform, mapping);
-}
-
 }  // namespace relap::mapping

@@ -33,9 +33,4 @@ namespace relap::mapping {
 [[nodiscard]] double period(const pipeline::Pipeline& pipeline,
                             const platform::Platform& platform, const IntervalMapping& mapping);
 
-/// 1 / period.
-[[nodiscard]] double throughput(const pipeline::Pipeline& pipeline,
-                                const platform::Platform& platform,
-                                const IntervalMapping& mapping);
-
 }  // namespace relap::mapping

@@ -16,6 +16,7 @@
 #include "relap/service/faultpoint.hpp"
 #include "relap/util/bytes.hpp"
 #include "relap/util/hash.hpp"
+#include "relap/util/strings.hpp"
 
 namespace relap::service {
 
@@ -51,6 +52,21 @@ bool deadline_expired(double deadline, double elapsed) {
 /// Bytes the knobs append to the canonical instance bytes in a full cache
 /// key: objective, method, threshold, budget, sweep size.
 constexpr std::size_t kKnobSuffixBytes = 1 + 1 + 8 + 8 + 8;
+
+/// A latency-capped solve that finds nothing answers "infeasible" with a
+/// message ending in the canonical cap it was given. Members of one dedup
+/// group share that cap but may differ by a power-of-two time rescale, so
+/// each member's copy quotes its own cap, in its own units. FP caps are
+/// unscaled and keep their text.
+util::Error in_caller_units(util::Error error, const SolveKnobs& knobs, double canonical_cap) {
+  if (knobs.objective != Objective::MinFpForLatency || error.code != "infeasible") return error;
+  const std::string suffix = ' ' + util::format_double(canonical_cap);
+  if (error.message.ends_with(suffix)) {
+    error.message.replace(error.message.size() - suffix.size() + 1, std::string::npos,
+                          util::format_double(knobs.threshold));
+  }
+  return error;
+}
 
 }  // namespace
 
@@ -174,8 +190,6 @@ util::Expected<algorithms::FrontReport> Broker::solve_canonical(
   options.exhaustive.max_evaluations = knobs.max_evaluations;
   options.exhaustive.pool = options_.pool;
   options.exhaustive.cancel = cancel;
-  options.heuristic.pool = options_.pool;
-  options.heuristic.cancel = cancel;
 
   const pipeline::Pipeline& pipeline = admitted.canonical().pipeline;
   const platform::Platform& platform = admitted.canonical().platform;
@@ -396,7 +410,10 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
       if (!solved.has_value()) {
         // Errors are not cached: every member gets its own copy.
         metrics_.solve_errors_total.add(1);
-        for (const std::size_t member : group.members) staged[member] = solved.error();
+        for (const std::size_t member : group.members) {
+          staged[member] =
+              in_caller_units(solved.error(), tickets[member].knobs, lead.threshold_canonical);
+        }
         return;
       }
       report = std::make_shared<const algorithms::FrontReport>(std::move(solved).take());

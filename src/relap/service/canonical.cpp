@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "relap/io/instance_format.hpp"
+#include "relap/mapping/latency.hpp"
 #include "relap/util/hash.hpp"
 
 namespace relap::service {
@@ -214,6 +215,12 @@ util::Expected<CanonicalInstance> canonicalize(const InstanceData& instance) {
       std::string(),
       0,
   };
+  // The joint rule runs last, on the pair the solvers see and in the
+  // caller's units, so every input an earlier rule refuses keeps its message.
+  if (std::optional<util::Error> violation =
+          mapping::check_latency_range(canonical.pipeline, canonical.platform, time_scale)) {
+    return *std::move(violation);
+  }
   io::append_instance_key_bytes(canonical.pipeline, canonical.platform, canonical.key_bytes);
   canonical.key_hash = util::fnv1a(canonical.key_bytes);
   return canonical;

@@ -76,8 +76,10 @@ struct PreparedInstance {
 
 /// Validates `instance` and produces its canonical form. Malformed input
 /// (empty pipeline, zero-processor platform, bad position permutation,
-/// ragged link rows, or columns the model's `check`s refuse before or after
-/// normalization) yields a structured "malformed" error — never an assert.
+/// ragged link rows, columns the model's `check`s refuse before or after
+/// normalization, or latencies that could overflow in canonical or caller
+/// units, `mapping::check_latency_range`) yields a structured "malformed"
+/// error — never an assert.
 [[nodiscard]] util::Expected<CanonicalInstance> canonicalize(const InstanceData& instance);
 
 /// Maps a front solved on the canonical form back to the caller's labeling

@@ -51,7 +51,8 @@
 namespace relap::util::simd {
 
 /// Lane width of every driver's batched kernel (the exhaustive
-/// enumerators, the beam's final evaluation and the Bernoulli trials).
+/// enumerators' `LaneEvalBatch` and `latency_assignment_lanes`, and the
+/// Monte-Carlo Bernoulli trials).
 inline constexpr std::size_t kDefaultLaneWidth = 8;
 
 /// Name of the ISA the lane ops were compiled for ("avx2" or "scalar") —

@@ -143,6 +143,18 @@ TEST(InstanceFormat, SubnormalRatesAreParseErrors) {
       << parsed.error().to_string();
 }
 
+TEST(InstanceFormat, OverflowingLatenciesAreParseErrors) {
+  // Every value is finite, but the whole pipeline on the 1e-10-speed
+  // processor takes 2e308 / 1e-10: a latency no double holds.
+  const auto parsed = parse_instance(
+      "relap-instance v1\npipeline 2\nwork 1e308 1e308\ndata 1 1 1\nplatform 2\n"
+      "speeds 1 1e-10\nfailures 0.1 0.2\nlinks uniform 1\n");
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, "parse") << parsed.error().to_string();
+  EXPECT_NE(parsed.error().message.find("latencies can overflow"), std::string::npos)
+      << parsed.error().to_string();
+}
+
 TEST(MappingFormat, RoundTrip) {
   const mapping::IntervalMapping original({{{0, 1}, {0, 2}}, {{2, 4}, {1}}});
   const auto reparsed = parse_mapping(format_mapping(original));

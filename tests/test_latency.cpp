@@ -1,10 +1,13 @@
 // Tests for mapping/latency.hpp: hand-computed goldens including both paper
 // examples digit for digit, the Eq.(1)/Eq.(2) equivalence on identical-link
-// platforms, and the general-mapping path weight.
+// platforms, the general-mapping path weight, and the latency range rule.
 
 #include "relap/mapping/latency.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <vector>
 
 #include "relap/gen/paper_instances.hpp"
 #include "relap/gen/pipelines.hpp"
@@ -165,6 +168,52 @@ TEST(LatencyLowerBound, NeverExceedsAnyMapping) {
     EXPECT_LE(bound,
               latency(pipe, plat, IntervalMapping({{{0, 0}, {0}}, {{1, 2}, {1, 2}}})) + 1e-9);
   }
+}
+
+// --- Latency range rule. ----------------------------------------------------
+
+TEST(LatencyRange, RefusesInstancesWhoseLatenciesCanOverflow) {
+  const auto slow = platform::make_comm_homogeneous({1.0, 1e-10}, 1.0, {0.1, 0.2});
+  const auto unit_work = pipeline::Pipeline({1.0, 1.0}, {1.0, 1.0, 1.0});
+  EXPECT_FALSE(check_latency_range(unit_work, slow, 1.0));
+
+  // All the work on the slowest processor: 2e300 / 1e-10 overflows.
+  const auto huge_work = pipeline::Pipeline({1e300, 1e300}, {1.0, 1.0, 1.0});
+  const std::optional<util::Error> overflow = check_latency_range(huge_work, slow, 1.0);
+  ASSERT_TRUE(overflow);
+  EXPECT_EQ(overflow->code, "malformed");
+  EXPECT_NE(overflow->message.find("overflow"), std::string::npos) << overflow->message;
+
+  // The bound 2e10 + 3 is finite, but not once divided by a 2^-1000 time
+  // scale (the caller's units).
+  EXPECT_TRUE(check_latency_range(unit_work, slow, std::ldexp(1.0, -1000)));
+  EXPECT_FALSE(check_latency_range(unit_work, slow, std::ldexp(1.0, 1000)));
+
+  // m + 1 = 3 copies of the largest data size: 3 * 4e307 is finite but above
+  // half the largest double, 3 * 2e307 is below it.
+  const auto unit = platform::make_fully_homogeneous(2, 1.0, 1.0, 0.1);
+  EXPECT_TRUE(check_latency_range(pipeline::Pipeline({1.0}, {1.0, 4e307}), unit, 1.0));
+  EXPECT_FALSE(check_latency_range(pipeline::Pipeline({1.0}, {1.0, 2e307}), unit, 1.0));
+
+  // The slowest link counts whichever it is, P_in, P_out or off-diagonal; the
+  // ignored diagonal does not.
+  const auto data = pipeline::Pipeline({1.0}, {1e10, 1e10});
+  const std::vector<double> ones{1.0, 1.0};
+  const std::vector<double> slow_in{1e-300, 1.0};
+  const std::vector<double> slow_out{1.0, 1e-300};
+  const std::vector<std::vector<double>> uniform{{1.0, 1.0}, {1.0, 1.0}};
+  const std::vector<std::vector<double>> slow_link{{1.0, 1e-300}, {1.0, 1.0}};
+  const std::vector<std::vector<double>> slow_diagonal{{1e-300, 1.0}, {1.0, 1.0}};
+  const std::vector<double> fps{0.1, 0.1};
+  const auto refused = [&](const std::vector<std::vector<double>>& links,
+                           const std::vector<double>& in, const std::vector<double>& out) {
+    return check_latency_range(data, platform::Platform(ones, fps, links, in, out), 1.0)
+        .has_value();
+  };
+  EXPECT_TRUE(refused(uniform, slow_in, ones));
+  EXPECT_TRUE(refused(uniform, ones, slow_out));
+  EXPECT_TRUE(refused(slow_link, ones, ones));
+  EXPECT_FALSE(refused(slow_diagonal, ones, ones));
 }
 
 TEST(LatencyDeath, MappingMustCoverPipeline) {

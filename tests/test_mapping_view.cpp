@@ -4,8 +4,8 @@
 //  1. bit-identity: every lane's latency and failure probability match the
 //     scalar oracle (`algorithms::evaluate`, i.e. `latency()` and
 //     `failure_probability()`) bit for bit on randomized mappings, at
-//     W in {1, 4, 8}, in both staging modes and on all three platform
-//     classes; `period_view` matches `period()` and `materialize` returns
+//     W in {1, 4, 8}, with compositions changing mid-batch, and on all
+//     three platform classes; `period_view` matches `period()` and `materialize` returns
 //     the drawn mapping (the determinism suite builds on this);
 //  2. zero allocation: the steady-state lane-batch loop (push_grouping +
 //     evaluate + period_view + indexer successor) performs no heap
@@ -84,15 +84,14 @@ std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 /// Draws uniform random interval mappings (composition + grouping) via the
 /// indexers' unrank and streams them through a `LaneEvalBatch<W>`, flushing
-/// full and final partial batches. Enumeration mode calls set_composition
-/// before every push_grouping, so compositions change mid-batch; interval
-/// mode stages each mapping's explicit assignments with push_intervals.
+/// full and final partial batches. set_composition runs before every
+/// push_grouping, so compositions change mid-batch (the mixed-slot path).
 /// Every lane's result must match the scalar oracle bit for bit, and the
 /// lane views must period/materialize exactly like the drawn mapping.
 template <std::size_t W>
 void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
                                       const platform::Platform& plat, std::uint64_t seed,
-                                      int iterations, bool interval_mode) {
+                                      int iterations) {
   const std::size_t n = pipe.stage_count();
   const std::size_t m = plat.processor_count();
   util::Rng rng(seed);
@@ -132,26 +131,19 @@ void lane_cross_check_random_mappings(const pipeline::Pipeline& pipe,
       if (group_of[u] < p) groups[group_of[u]].push_back(u);
     }
     staged.push_back(mapping::IntervalMapping::from_composition(lengths, groups));
-    if (interval_mode) {
-      batch.push_intervals(pipe, staged.back().intervals());
-    } else {
-      batch.set_composition(pipe, lengths);
-      batch.push_grouping(group_of, group_sizes);
-    }
+    batch.set_composition(pipe, lengths);
+    batch.push_grouping(group_of, group_sizes);
     if (batch.full()) flush();
   }
   if (!batch.empty()) flush();  // also exercises partial batches when W > 1
 }
 
-/// Both staging modes at every lane width, each with its own draw stream.
+/// Every lane width, each with its own draw stream.
 void lane_cross_check_all_widths(const pipeline::Pipeline& pipe, const platform::Platform& plat,
                                  std::uint64_t seed, int iterations) {
-  for (const bool interval_mode : {false, true}) {
-    const std::uint64_t base = seed + (interval_mode ? 10 : 0);
-    lane_cross_check_random_mappings<1>(pipe, plat, base, iterations, interval_mode);
-    lane_cross_check_random_mappings<4>(pipe, plat, base + 1, iterations, interval_mode);
-    lane_cross_check_random_mappings<8>(pipe, plat, base + 2, iterations, interval_mode);
-  }
+  lane_cross_check_random_mappings<1>(pipe, plat, seed, iterations);
+  lane_cross_check_random_mappings<4>(pipe, plat, seed + 1, iterations);
+  lane_cross_check_random_mappings<8>(pipe, plat, seed + 2, iterations);
 }
 
 TEST(MappingLanes, MatchesScalarOracleOnCommHomogeneousPlatforms) {
@@ -178,20 +170,6 @@ TEST(MappingLanes, MatchesScalarOracleOnFullyHomogeneousPlatforms) {
   options.processors = 5;
   const auto plat = gen::random_fully_homogeneous(options, 422);
   lane_cross_check_all_widths(pipe, plat, 423, 100);
-}
-
-TEST(MappingLanes, IntervalPushMatchesScalarOracle) {
-  // The heuristics staging mode: explicit interval assignments with ragged
-  // per-lane compositions and interval counts inside one batch.
-  const auto pipe = gen::random_uniform_pipeline(6, 431);
-  gen::PlatformGenOptions options;
-  options.processors = 7;
-  const auto het = gen::random_fully_heterogeneous(options, 432);
-  const auto hom = gen::random_comm_hom_het_failures(options, 433);
-  lane_cross_check_random_mappings<1>(pipe, het, 437, 150, true);
-  lane_cross_check_random_mappings<4>(pipe, het, 434, 150, true);
-  lane_cross_check_random_mappings<8>(pipe, het, 435, 150, true);
-  lane_cross_check_random_mappings<8>(pipe, hom, 436, 150, true);
 }
 
 TEST(MappingView, ViewAccessorsDescribeTheMapping) {

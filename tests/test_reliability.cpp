@@ -1,5 +1,5 @@
 // Tests for mapping/reliability.hpp: the FP product formula, including the
-// paper's Figure 5 values, and the log-domain evaluator.
+// paper's Figure 5 values.
 
 #include "relap/mapping/reliability.hpp"
 
@@ -58,38 +58,12 @@ TEST(Reliability, GroupFailureProbability) {
 TEST(Reliability, PerfectProcessorsGiveZeroFp) {
   const auto plat = platform::make_fully_homogeneous(2, 1.0, 1.0, 0.0);
   EXPECT_DOUBLE_EQ(failure_probability(plat, IntervalMapping::single_interval(1, {0})), 0.0);
-  EXPECT_DOUBLE_EQ(log_survival_probability(plat, IntervalMapping::single_interval(1, {0})),
-                   0.0);
 }
 
-TEST(Reliability, CertainFailureGivesMinusInfLogSurvival) {
+TEST(Reliability, CertainFailureGivesFpOne) {
   const auto plat = platform::make_fully_homogeneous(2, 1.0, 1.0, 1.0);
   const auto m = IntervalMapping::single_interval(1, {0});
   EXPECT_DOUBLE_EQ(failure_probability(plat, m), 1.0);
-  EXPECT_TRUE(std::isinf(log_survival_probability(plat, m)));
-  EXPECT_LT(log_survival_probability(plat, m), 0.0);
-}
-
-TEST(Reliability, LogSurvivalMatchesLinearDomain) {
-  const auto plat = platform::make_comm_homogeneous({1.0, 1.0, 1.0}, 1.0, {0.3, 0.4, 0.6});
-  const IntervalMapping m({{{0, 0}, {0, 1}}, {{1, 1}, {2}}});
-  const double fp = failure_probability(plat, m);
-  EXPECT_NEAR(std::exp(log_survival_probability(plat, m)), 1.0 - fp, 1e-12);
-}
-
-TEST(Reliability, LogSurvivalResolvesTinyDifferences) {
-  // Two mappings with FP ~ 1e-30: the linear domain sees both as ~0 relative
-  // to 1, the log domain still ranks them.
-  const auto plat =
-      platform::make_comm_homogeneous({1.0, 1.0, 1.0, 1.0}, 1.0, {1e-15, 1e-15, 1e-16, 1e-16});
-  const auto strong = IntervalMapping::single_interval(1, {2, 3});  // 1e-32
-  const auto weak = IntervalMapping::single_interval(1, {0, 1});    // 1e-30
-  EXPECT_GT(log_survival_probability(plat, strong), log_survival_probability(plat, weak));
-}
-
-TEST(Reliability, MinAchievableIsFullReplication) {
-  const auto plat = platform::make_comm_homogeneous({1.0, 1.0, 1.0}, 1.0, {0.5, 0.5, 0.2});
-  EXPECT_DOUBLE_EQ(min_achievable_failure_probability(plat), 0.05);
 }
 
 }  // namespace

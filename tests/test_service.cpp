@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "relap/gen/pipelines.hpp"
@@ -25,6 +26,7 @@
 #include "relap/service/canonical.hpp"
 #include "relap/service/faultpoint.hpp"
 #include "relap/util/rng.hpp"
+#include "relap/util/strings.hpp"
 
 namespace relap::service {
 namespace {
@@ -449,6 +451,36 @@ TEST(Broker, InfeasibleAndOversizedRequestsRejectGracefully) {
   request.max_evaluations = 1;
   expect_error(broker, request, "budget");
   EXPECT_EQ(broker.cache_stats().entries, 0U);
+}
+
+TEST(Broker, LatencyInfeasibleRepliesQuoteEachCallersOwnThreshold) {
+  // Presentations at time factors 1 and 2, capped at t and t / 2, share one
+  // canonical cap and dedup onto one solve; each reply quotes its own cap.
+  const double t = 1e-9;
+  SolveRequest slow;
+  slow.instance = small_instance(30);
+  slow.objective = Objective::MinFpForLatency;
+  slow.threshold = t;
+  SolveRequest fast = slow;
+  fast.instance = slow.instance.scaled(1.0, 1.0, 2.0);
+  fast.threshold = t / 2;
+  for (const auto& [method, wording] :
+       {std::pair{algorithms::Method::Exhaustive, "no interval mapping meets latency threshold "},
+        std::pair{algorithms::Method::Heuristic,
+                  "no heuristic candidate meets the latency threshold "}}) {
+    Broker broker;
+    slow.method = method;
+    fast.method = method;
+    const auto replies = broker.solve_batch(std::vector<SolveRequest>{slow, fast});
+    ASSERT_EQ(replies.size(), 2U);
+    EXPECT_EQ(broker.metrics().solves_total.value(), 1U);  // one group, one solve
+    const double thresholds[] = {t, t / 2};
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      ASSERT_FALSE(replies[i].has_value());
+      EXPECT_EQ(replies[i].error().code, "infeasible");
+      EXPECT_EQ(replies[i].error().message, wording + util::format_double(thresholds[i]));
+    }
+  }
 }
 
 // --- FrontCache unit behavior. ---------------------------------------------

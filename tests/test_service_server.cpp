@@ -19,11 +19,13 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "relap/gen/pipelines.hpp"
@@ -318,6 +320,41 @@ TEST(Server, SubnormalRatesAnswerMalformed) {
   }
 }
 
+TEST(Server, UploadsWhoseLatenciesOverflowAnswerMalformed) {
+  // Every value is in range and normalizes, but the whole pipeline on the
+  // 1e-10-speed processor takes 2e308 / 1e-10 time units: fronts used to
+  // carry latency=inf points, dominated ones included.
+  Broker broker;
+  Session session(broker);
+  for (const char* line : {"instance o", "input 1", "stage 0 1e308 1", "stage 1 1e308 1",
+                           "proc 1 0.1 1 1", "proc 1e-10 0.2 1 1", "links 1", "end"}) {
+    (void)feed(session, line);
+  }
+  for (const char* solve : {"solve o obj=pareto", "solve o obj=minfp threshold=1",
+                            "solve o obj=minlat threshold=0.5 method=heuristic"}) {
+    const std::string response = feed(session, solve);
+    EXPECT_TRUE(is_err(response, "malformed")) << response;
+    EXPECT_NE(response.find("latencies can overflow"), std::string::npos) << response;
+    EXPECT_EQ(feed(session, "ping"), "ok pong\n");
+  }
+}
+
+TEST(Server, LatencyInfeasibleRepliesQuoteTheCallersThreshold) {
+  // Speeds 1 and 2 run the canonical clock at twice the caller's, so the
+  // solver's cap is 1 where the caller asked for 0.5; the reply must say 0.5.
+  Broker broker;
+  Session session(broker);
+  for (const char* line : {"instance u", "input 1", "stage 0 1 1", "stage 1 1 1", "proc 1 0.1 1 1",
+                           "proc 2 0.2 1 1", "links 1"}) {
+    EXPECT_EQ(feed(session, line), "");
+  }
+  EXPECT_EQ(feed(session, "end"), "ok instance u stages=2 processors=2\n");
+  EXPECT_EQ(feed(session, "solve u obj=minfp threshold=0.5"),
+            "err 9 infeasible no interval mapping meets latency threshold 0.5\n");
+  EXPECT_EQ(feed(session, "solve u obj=minfp threshold=0.5 method=heuristic"),
+            "err 10 infeasible no heuristic candidate meets the latency threshold 0.5\n");
+}
+
 /// `count` numerals of one instance column for the fuzz below. They are
 /// valid for the column: log-uniform over the whole double range (5e-324 to
 /// 1.7e308), or below 1 for failure probabilities. But one column in ten
@@ -370,6 +407,26 @@ std::vector<std::string> fuzz_instance_block(std::mt19937_64& rng) {
   return lines;
 }
 
+/// The (latency, fp) pair of every `point` line of a solve reply; nullopt
+/// for a field that does not parse.
+std::vector<std::pair<std::optional<double>, std::optional<double>>> reply_points(
+    const std::string& response) {
+  const auto field = [](std::string_view line, std::string_view key) {
+    const std::size_t start = line.find(key) + key.size();
+    return util::parse_double(line.substr(start, line.find(' ', start) - start));
+  };
+  std::vector<std::pair<std::optional<double>, std::optional<double>>> points;
+  for (std::size_t start = 0; start < response.size();) {
+    const std::size_t end = response.find('\n', start);
+    const std::string_view line = std::string_view(response).substr(start, end - start);
+    start = end + 1;
+    if (line.rfind("point ", 0) == 0) {
+      points.emplace_back(field(line, " latency="), field(line, " fp="));
+    }
+  }
+  return points;
+}
+
 /// True iff every line of `response` is an `ok` line, an `err <seq>` line
 /// or a solve reply's continuation (`trace`, `point`, `done`).
 bool well_formed(const std::string& response) {
@@ -410,6 +467,20 @@ TEST(Server, SeededNumeralFuzzOnlyEverAnswersStructuredLines) {
       const std::string response = feed(session, solve);
       ASSERT_TRUE(well_formed(response)) << "seed " << seed << ": " << solve << " -> " << response;
       ASSERT_TRUE(response.rfind("ok solve", 0) == 0 || is_err(response)) << response;
+      // Every served point is a finite latency with an FP in [0, 1], and no
+      // point of a reply strictly dominates another.
+      const auto points = reply_points(response);
+      for (const auto& [latency, fp] : points) {
+        ASSERT_TRUE(latency && std::isfinite(*latency)) << solve << " -> " << response;
+        ASSERT_TRUE(fp && *fp >= 0.0 && *fp <= 1.0) << solve << " -> " << response;
+      }
+      for (const auto& a : points) {
+        for (const auto& b : points) {
+          ASSERT_FALSE(*a.first <= *b.first && *a.second <= *b.second &&
+                       (*a.first < *b.first || *a.second < *b.second))
+              << solve << " -> " << response;
+        }
+      }
       solved += response.rfind("ok solve", 0) == 0 ? 1 : 0;
       too_wide += response.find("too wide a range") != std::string::npos ? 1 : 0;
       ASSERT_EQ(feed(session, "ping"), "ok pong\n") << "seed " << seed << " after " << solve;
@@ -787,7 +858,7 @@ ok solve name=het cache=miss exact=1 algorithm=exhaustive points=1 front=0xffd6c
 trace *
 point 0 latency=2.2179040006174544 fp=0.17364636192558625 mapping=[0..0]->{1} [1..2]->{0}
 done
-err 26 infeasible no interval mapping meets latency threshold 4e-12
+err 26 infeasible no interval mapping meets latency threshold 1e-12
 err 27 malformed max_evaluations must be > 0
 err 28 malformed pareto_thresholds must be >= 2 for a front sweep
 err 29 infeasible no mapping satisfies a negative latency bound

@@ -18,8 +18,6 @@ TEST(Throughput, SingleProcessorPeriodIsFullCycle) {
   const auto plat = platform::make_fully_homogeneous(1, 2.0, 2.0, 0.1);
   // receive 2/2 + compute 4/2 + send 6/2 = 1 + 2 + 3 = 6.
   EXPECT_DOUBLE_EQ(period(pipe, plat, IntervalMapping::single_interval(1, {0})), 6.0);
-  EXPECT_DOUBLE_EQ(throughput(pipe, plat, IntervalMapping::single_interval(1, {0})),
-                   1.0 / 6.0);
 }
 
 TEST(Throughput, SplitReducesPeriod) {
