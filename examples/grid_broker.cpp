@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
       if (t % 2 == 0) request.instance = request.instance.scaled(0.5, 4.0, 2.0);
     }
     request.objective = service::Objective::ParetoFront;
-    request.priority = t == 0 ? 1 : 0;  // the first tenant's solve seeds the cache
     batch.push_back(std::move(request));
   }
 

@@ -7,7 +7,7 @@
 //                   [--cache-entries N] [--max-stages N] [--max-processors N]
 //                   [--max-connections N] [--read-timeout-ms N]
 //                   [--write-timeout-ms N] [--queue-high-watermark N]
-//                   [--queue-low-watermark N] [--degrade]
+//                   [--queue-low-watermark N]
 //
 //   --stdio            serve one session over stdin/stdout (default)
 //   --port N           serve loopback TCP on port N instead (0 = ephemeral;
@@ -29,12 +29,10 @@
 //                          get `err overloaded` and are closed)
 //   --read-timeout-ms N    reap TCP connections idle this long (0 = never)
 //   --write-timeout-ms N   give up on peers not draining responses (0 = off)
-//   --queue-high-watermark N  shed lowest-priority queued work past this
-//                             many pending tickets (`err overloaded`)
+//   --queue-high-watermark N  past this many pending tickets, shed queued
+//                             work (`err overloaded`): latest deadline first,
+//                             newest among equals
 //   --queue-low-watermark N   shed down to this many (default: half of high)
-//   --degrade          answer deadline-cancelled solves with the fast
-//                      heuristic front (degraded=1, exact=0) instead of
-//                      `err deadline-exceeded`
 //
 // In TCP mode SIGTERM/SIGINT trigger a graceful drain: the server stops
 // accepting, live connections get `err shutting-down` on their next line,
@@ -69,7 +67,7 @@ int usage(const char* argv0) {
                "          [--journal-fsync-every N] [--snapshot-interval-s N]\n"
                "          [--cache-entries N] [--max-stages N] [--max-processors N]\n"
                "          [--max-connections N] [--read-timeout-ms N] [--write-timeout-ms N]\n"
-               "          [--queue-high-watermark N] [--queue-low-watermark N] [--degrade]\n",
+               "          [--queue-high-watermark N] [--queue-low-watermark N]\n",
                argv0);
   return 2;
 }
@@ -156,8 +154,6 @@ int main(int argc, char** argv) {
       const std::optional<std::size_t> value = next_size();
       if (!value) return usage(argv[0]);
       options.queue_low_watermark = *value;
-    } else if (arg == "--degrade") {
-      options.degrade_on_deadline = true;
     } else {
       return usage(argv[0]);
     }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -52,6 +53,11 @@ bool deadline_expired(double deadline, double elapsed) {
 /// Bytes the knobs append to the canonical instance bytes in a full cache
 /// key: objective, method, threshold, budget, sweep size.
 constexpr std::size_t kKnobSuffixBytes = 1 + 1 + 8 + 8 + 8;
+
+/// Largest front sweep admitted: a sweep allocates a result slot and runs a
+/// constrained heuristic solve per threshold, so 1024 (40x the default 24)
+/// already costs seconds, and an unbounded count can abort the process.
+constexpr std::size_t kMaxParetoThresholds = 1024;
 
 /// A latency-capped solve that finds nothing answers "infeasible" with a
 /// message ending in the canonical cap it was given. Members of one dedup
@@ -120,6 +126,11 @@ util::Expected<Broker::Admitted> Broker::admit(const SolveRequest& request) cons
   }
   if (request.objective == Objective::ParetoFront && request.pareto_thresholds < 2) {
     return util::malformed("pareto_thresholds must be >= 2 for a front sweep");
+  }
+  if (request.objective == Objective::ParetoFront &&
+      request.pareto_thresholds > kMaxParetoThresholds) {
+    return util::malformed("pareto_thresholds must be <= " +
+                           std::to_string(kMaxParetoThresholds) + " for a front sweep");
   }
   if (request.objective != Objective::ParetoFront) {
     if (std::isnan(request.threshold)) {
@@ -291,9 +302,8 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
   // group, everyone else rides the cache.
   struct Group {
     std::vector<std::size_t> members;
-    int priority = 0;
+    /// Tightest member deadline: the group's place in the dispatch order.
     double deadline = 0.0;
-    std::size_t arrival = 0;
     /// Loosest member budget still unspent at batch_start, seconds.
     double remaining = 0.0;
   };
@@ -321,24 +331,22 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
     const std::string_view key = admitted(i).full_key;
     auto [it, inserted] = group_of.try_emplace(key, groups.size());
     if (inserted) {
-      groups.push_back(Group{{i}, knobs.priority, knobs.deadline, i, remaining});
+      groups.push_back(Group{{i}, knobs.deadline, remaining});
     } else {
+      metrics_.deduped_total.add(1);
       Group& group = groups[it->second];
       group.members.push_back(i);
-      group.priority = std::max(group.priority, knobs.priority);
       group.deadline = std::min(group.deadline, knobs.deadline);
       group.remaining = std::max(group.remaining, remaining);
     }
   }
 
-  // Dispatch order: priority first, tighter deadline next, arrival last.
-  // The pool claims task indices in increasing order, so this is the order
-  // solves *start* in.
-  std::stable_sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return a.arrival < b.arrival;
-  });
+  // Dispatch order: tighter deadline first. Tickets arrive in arrival order
+  // and groups form in ticket order, so the stable sort keeps arrival order
+  // among equal deadlines. The pool claims task indices in increasing order,
+  // so this is the order solves *start* in.
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const Group& a, const Group& b) { return a.deadline < b.deadline; });
 
   exec::ThreadPool::resolve(options_.pool).run(groups.size(), [&](std::size_t g) {
     const Group& group = groups[g];
@@ -376,31 +384,6 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
         // The deadline passed mid-solve; the partial work is discarded so a
         // completed reply can never depend on cancellation timing.
         metrics_.cancelled_total.add(1);
-        if (options_.degrade_on_deadline) {
-          SolveKnobs fallback_knobs = tickets[lead_index].knobs;
-          fallback_knobs.method = algorithms::Method::Heuristic;
-          const auto fallback_start = std::chrono::steady_clock::now();
-          util::Expected<algorithms::FrontReport> fallback =
-              solve_canonical(fallback_knobs, lead, nullptr);
-          lead_spans.solve_seconds += elapsed_seconds(fallback_start);
-          if (fallback.has_value()) {
-            const algorithms::FrontReport degraded_report = std::move(fallback).take();
-            for (std::size_t k = 0; k < group.members.size(); ++k) {
-              const std::size_t member = group.members[k];
-              TraceSpans spans = lead_spans;
-              if (k != 0) {
-                spans.queue_wait_seconds = queue_wait_of(member);
-                spans.canonicalize_seconds = admitted(member).canonicalize_seconds;
-              }
-              Reply reply = make_reply(admitted(member), degraded_report, false, spans);
-              reply.degraded = true;
-              metrics_.degraded_total.add(1);
-              staged[member] = std::move(reply);
-            }
-            return;
-          }
-          // Even the heuristic fallback failed; report the deadline.
-        }
         for (const std::size_t member : group.members) {
           metrics_.deadline_exceeded_total.add(1);
           staged[member] = deadline_exceeded_error(tickets[member].knobs.deadline);
@@ -426,7 +409,6 @@ std::vector<util::Expected<Reply>> Broker::dispatch(std::span<const Ticket> tick
     // report backstops the (theoretical) eviction race within one batch.
     for (std::size_t k = 1; k < group.members.size(); ++k) {
       const std::size_t member = group.members[k];
-      metrics_.deduped_total.add(1);
       TraceSpans member_spans = spans_of(member);
       if (!reply_from_cache(admitted(member), member_spans, true, staged[member])) {
         staged[member] = make_reply(admitted(member), *report, true, member_spans);
@@ -446,14 +428,13 @@ void Broker::shed_overflow_locked() {
   std::size_t low = options_.queue_low_watermark;
   if (low == 0 || low > high) low = high / 2;
   while (queue_.size() > low) {
-    // Victim: lowest priority, ties broken toward the latest deadline, then
-    // the newest arrival — the work whose loss costs the least.
-    const auto victim = std::min_element(
-        queue_.begin(), queue_.end(), [](const Ticket& a, const Ticket& b) {
-          if (a.knobs.priority != b.knobs.priority) return a.knobs.priority < b.knobs.priority;
-          if (a.knobs.deadline != b.knobs.deadline) return a.knobs.deadline > b.knobs.deadline;
-          return a.arrival > b.arrival;
-        });
+    // Victim: the dispatch order's last ticket — the latest deadline, the
+    // newest among equals. `queue_` is in arrival order, so scanning it
+    // backwards, the first maximum found is the newest.
+    const auto newest_latest = std::max_element(
+        queue_.rbegin(), queue_.rend(),
+        [](const Ticket& a, const Ticket& b) { return a.knobs.deadline < b.knobs.deadline; });
+    const auto victim = std::prev(newest_latest.base());
     metrics_.shed_total.add(1);
     *victim->reply = util::make_error("overloaded",
                                       "queue exceeded its high watermark (" +
@@ -490,14 +471,13 @@ util::Expected<Reply> Broker::solve_batched(const SolveRequest& request) {
   std::unique_lock<std::mutex> lock(queue_mutex_);
   if (shutting_down()) return shutting_down_error();
   ticket.reply = &reply;
-  ticket.arrival = next_arrival_++;
   queue_.push_back(std::move(ticket));
   shed_overflow_locked();  // may shed this very caller: the loop below sees it
   while (!reply) {
     if (!draining_ && !queue_.empty()) {
       // Become the drainer: dispatch the whole queue segment — our ticket
       // and every concurrent session's, all admitted already — as one
-      // deduped, priority-ordered batch.
+      // deduped, deadline-ordered batch.
       draining_ = true;
       std::vector<Ticket> batch;
       batch.swap(queue_);

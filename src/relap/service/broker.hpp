@@ -44,10 +44,14 @@
 ///
 /// Batches (a `solve_batch` call, or the `solve_batched` callers one drainer
 /// dispatches together) additionally dedupe: member requests with equal full
-/// keys form one group, groups are ordered by (priority desc, deadline asc,
-/// arrival), and only each group's lead solves; the other members re-probe
-/// the cache and count as hits. Group dispatch rides the same deterministic
-/// exec pool the solvers use — nested `run()` is explicitly safe there.
+/// keys form one group, and only each group's lead solves; the other members
+/// re-probe the cache and count as hits. Group dispatch rides the same
+/// deterministic exec pool the solvers use — nested `run()` is explicitly
+/// safe there.
+///
+/// Scheduling has one rule: a tighter deadline first, arrival order among
+/// equals. Dispatch starts groups in that order; load shedding drops queued
+/// callers in the reverse one.
 ///
 /// Overload hardening (all failure modes are structured errors, never
 /// asserts or hangs):
@@ -61,11 +65,8 @@
 ///     still wants the answer. Cancelled solves are discarded, so completed
 ///     replies stay bit-identical.
 ///   - **Load shedding**: with `queue_high_watermark` set, a caller that
-///     overflows the queue sheds the lowest-priority queued callers (code
-///     "overloaded") down to the low watermark.
-///   - **Degrade mode**: with `degrade_on_deadline`, a deadline-cancelled
-///     solve answers with a fast heuristic front instead of an error —
-///     flagged `Reply::degraded`, `exact == false`, never cached.
+///     overflows the queue sheds queued callers (code "overloaded") down to
+///     the low watermark: the latest deadline first, the newest among equals.
 ///   - **Graceful drain**: after `begin_shutdown()`, new work is refused
 ///     with "shutting-down" while already-queued callers keep draining.
 ///
@@ -79,11 +80,11 @@
 /// `solve_batched` is the concurrent serving entry point: each session
 /// admits its request and probes the cache on its own thread. A hit is
 /// answered right there — it never queues, so it is never shed, never
-/// priority-ordered and records no queue wait. A miss (or a request that
+/// deadline-ordered and records no queue wait. A miss (or a request that
 /// failed admission or has no budget left) queues its outcome — the queue's
 /// only way in — and blocks for its own reply; one session drains the batch
 /// for everyone (waiter/drainer), so concurrent tenants coalesce into the
-/// same dedup + priority dispatch a single `solve_batch` call gets.
+/// same dedup + deadline-ordered dispatch a single `solve_batch` call gets.
 
 #include <atomic>
 #include <chrono>
@@ -115,16 +116,12 @@ struct BrokerOptions {
   std::size_t max_stages = 64;
   std::size_t max_processors = 64;
   /// Admission control for the `solve_batched` queue: when a caller pushes
-  /// the pending count past the high watermark, the lowest-priority queued
-  /// callers (ties: latest deadline, then newest arrival) are shed with code
-  /// "overloaded" until only the low watermark remain. 0 disables shedding;
-  /// a zero low watermark defaults to half the high one.
+  /// the pending count past the high watermark, queued callers are shed with
+  /// code "overloaded" — the latest deadline first, the newest among equals —
+  /// until only the low watermark remain. 0 disables shedding; a zero low
+  /// watermark defaults to half the high one.
   std::size_t queue_high_watermark = 0;
   std::size_t queue_low_watermark = 0;
-  /// Serve deadline-cancelled solves with a fast heuristic front
-  /// (`Reply::degraded`, `exact == false`, never cached) instead of a
-  /// "deadline-exceeded" error.
-  bool degrade_on_deadline = false;
 };
 
 class Broker {
@@ -138,7 +135,7 @@ class Broker {
   [[nodiscard]] util::Expected<Reply> solve(const SolveRequest& request);
 
   /// Serves a batch: replies in submission order, duplicates deduped onto one
-  /// solve, groups dispatched over the pool in priority order.
+  /// solve, groups dispatched over the pool in (deadline, arrival) order.
   [[nodiscard]] std::vector<util::Expected<Reply>> solve_batch(
       std::span<const SolveRequest> requests);
 
@@ -149,8 +146,8 @@ class Broker {
   /// clock skew — a direct `solve`'s rule) is answered at once and never
   /// enters the queue. Everything else waits in the shared queue, where
   /// concurrent callers coalesce: one caller dispatches the batch for
-  /// everyone (dedup and priority dispatch apply *across* callers), the
-  /// others wait for their own reply. A caller that overflows the high
+  /// everyone (dedup and deadline-ordered dispatch apply *across* callers),
+  /// the others wait for their own reply. A caller that overflows the high
   /// watermark sheds (see BrokerOptions); shed / post-shutdown callers get
   /// "overloaded" / "shutting-down" errors.
   [[nodiscard]] util::Expected<Reply> solve_batched(const SolveRequest& request);
@@ -259,10 +256,8 @@ class Broker {
     util::Expected<Admitted> admitted;
     std::chrono::steady_clock::time_point submitted;  ///< queued (admission done)
     /// Set once queued: the waiting caller's reply slot, which the drainer
-    /// or the shedder fills under `queue_mutex_`, and the caller's arrival
-    /// number, the shed tie-break.
+    /// or the shedder fills under `queue_mutex_`.
     std::optional<util::Expected<Reply>>* reply = nullptr;
-    std::uint64_t arrival = 0;
   };
 
   /// The "oversized" error for these record counts, if the caps refuse them.
@@ -285,10 +280,11 @@ class Broker {
       const Admitted& admitted, TraceSpans& spans, bool count_miss,
       std::optional<util::Expected<Reply>>& reply);
   /// The one dispatch path behind every entry point: dequeue-time deadline
-  /// check, admission outcome, dedup grouping, priority order, then solve
-  /// or cache probe per group. For `queued` tickets the queued -> dispatch
-  /// delay enters spans and metrics, and is what dequeue-time deadline
-  /// enforcement measures budgets against; direct calls wait 0.
+  /// check, admission outcome, dedup grouping, then solve or cache probe per
+  /// group, started in (deadline, arrival) order. `tickets` are in arrival
+  /// order. For `queued` tickets the queued -> dispatch delay enters spans
+  /// and metrics, and is what dequeue-time deadline enforcement measures
+  /// budgets against; direct calls wait 0.
   [[nodiscard]] std::vector<util::Expected<Reply>> dispatch(std::span<const Ticket> tickets,
                                                             bool queued);
 
@@ -319,9 +315,10 @@ class Broker {
   /// at a time (`draining_`).
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
+  /// In arrival order: tickets enter only by `push_back` under
+  /// `queue_mutex_`, and shedding's `erase` keeps the order of the rest.
   std::vector<Ticket> queue_;
   bool draining_ = false;
-  std::uint64_t next_arrival_ = 0;
   std::atomic<bool> shutting_down_{false};
 };
 

@@ -93,7 +93,6 @@ std::string ServiceMetrics::to_json() const {
   append_counter(out, "deadline_exceeded_total", deadline_exceeded_total, first);
   append_counter(out, "cancelled_total", cancelled_total, first);
   append_counter(out, "shed_total", shed_total, first);
-  append_counter(out, "degraded_total", degraded_total, first);
   append_counter(out, "snapshot_saves", snapshot_saves, first);
   append_counter(out, "snapshot_loads", snapshot_loads, first);
   append_counter(out, "snapshot_entries_saved", snapshot_entries_saved, first);

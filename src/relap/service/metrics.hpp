@@ -97,13 +97,12 @@ struct ServiceMetrics {
   Counter requests_total;       ///< requests entering admission
   Counter rejected_total;       ///< structured admission rejections
   Counter batches_total;        ///< dispatches: per solve/solve_batch call and per queue drain
-  Counter deduped_total;        ///< batch members served by another member's solve
+  Counter deduped_total;        ///< batch members grouped onto another member's solve
   Counter solves_total;         ///< cache-miss dispatches into the solver stack
   Counter solve_errors_total;   ///< infeasible/budget outcomes of those solves
   Counter deadline_exceeded_total;  ///< requests rejected past their wall-clock budget
   Counter cancelled_total;          ///< solves cooperatively cancelled mid-flight
   Counter shed_total;               ///< queued requests shed by admission control
-  Counter degraded_total;           ///< replies served by the heuristic degrade path
   Counter snapshot_saves;
   Counter snapshot_loads;
   Counter snapshot_entries_saved;

@@ -4,14 +4,14 @@
 /// Request/response types of the solver service (see broker.hpp for the
 /// serving loop that consumes them).
 ///
-/// A `SolveRequest` wraps one *instance presentation* plus an objective,
-/// scheduling metadata (priority, deadline) and a per-request evaluation
-/// budget. The instance is carried as raw labeled records (`InstanceData`)
-/// rather than constructed `Pipeline`/`Platform` objects on purpose: those
-/// constructors treat malformed input as a programming error and abort,
-/// while a multi-tenant broker must reject malformed requests gracefully
-/// with a structured `util::Expected` error. `service::canonicalize` runs the
-/// model types' own checks before any library type is constructed.
+/// A `SolveRequest` wraps one *instance presentation* plus an objective, a
+/// deadline and a per-request evaluation budget. The instance is carried as
+/// raw labeled records (`InstanceData`) rather than constructed
+/// `Pipeline`/`Platform` objects on purpose: those constructors treat
+/// malformed input as a programming error and abort, while a multi-tenant
+/// broker must reject malformed requests gracefully with a structured
+/// `util::Expected` error. `service::canonicalize` runs the model types' own
+/// checks before any library type is constructed.
 ///
 /// Labeling model: a stage record carries its semantic pipeline `position`
 /// (stage order is meaningful — a pipeline is a chain), so stage records may
@@ -102,21 +102,21 @@ struct SolveKnobs {
   Objective objective = Objective::MinFpForLatency;
   /// Latency cap (caller units) or FP cap, per the objective.
   double threshold = 0.0;
-  /// Scheduling priority: higher values are dispatched earlier in a batch.
-  int priority = 0;
   /// Wall-clock budget in **seconds**, measured from the moment the request
   /// enters the queue, right after its admission on the caller's thread (or
   /// from dispatch for a direct `solve` and for a `solve_batched` cache hit,
-  /// which never queues). Besides ordering requests within a
-  /// priority level (tighter first), the deadline is enforced: a request
-  /// whose budget is already spent when its batch dispatches is rejected
-  /// with code "deadline-exceeded" (deadline 0 deterministically expires),
-  /// and a running solve is cooperatively cancelled once the loosest
-  /// deadline in its dedup group passes. Cancellation never alters a result:
-  /// a cancelled solve is an error and its partial work is discarded, so
-  /// every *completed* reply keeps the bit-identical determinism contract.
-  /// +inf (the default) means no deadline; NaN and negative values are
-  /// rejected at admission with code "malformed".
+  /// which never queues). It is the broker's one scheduling input: a batch
+  /// dispatches tighter deadlines first, and shedding drops the latest
+  /// first. It is also enforced: a request whose budget is already spent
+  /// when its batch dispatches is rejected with code "deadline-exceeded"
+  /// (deadline 0 deterministically expires), and a running solve is
+  /// cooperatively cancelled once the loosest deadline in its dedup group
+  /// passes. Cancellation never alters a result: a cancelled solve is an
+  /// error and its partial work is discarded, so every *completed* reply
+  /// keeps the bit-identical determinism contract. +inf (the default) means
+  /// no deadline; NaN and negative values are rejected at admission with
+  /// code "malformed". Set in-process only: the wire protocol has no
+  /// `deadline=` knob yet, so every served request runs at +inf.
   double deadline = std::numeric_limits<double>::infinity();
   /// Solver selection, as in algorithms::SolveOptions.
   algorithms::Method method = algorithms::Method::Auto;
@@ -125,7 +125,7 @@ struct SolveKnobs {
   /// requests fail fast with a "budget" error (the upfront saturation-aware
   /// count decision in exhaustive.hpp) instead of burning the budget.
   std::uint64_t max_evaluations = 2'000'000;
-  /// Threshold count for heuristic ParetoFront sweeps (>= 2).
+  /// Threshold count for heuristic ParetoFront sweeps (2 to 1024).
   std::size_t pareto_thresholds = 24;
 };
 
@@ -169,11 +169,6 @@ struct Reply {
   bool exact = false;
   /// True iff the front came out of the solved-front memo cache.
   bool cache_hit = false;
-  /// True iff this reply was served by the degrade path: the exact solve ran
-  /// out of deadline and the broker (configured with `degrade_on_deadline`)
-  /// answered with a fast heuristic front instead. Degraded fronts always
-  /// carry `exact == false` and are never cached.
-  bool degraded = false;
   /// FNV-1a hash of the canonical instance form — equal across relabelings
   /// and power-of-two rescalings of the same instance.
   std::uint64_t canonical_hash = 0;

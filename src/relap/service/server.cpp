@@ -355,9 +355,6 @@ void Session::handle_solve(std::string_view args, std::string& out) {
   out += "ok solve name=";
   out += tokens.front();
   out += reply->cache_hit ? " cache=hit" : " cache=miss";
-  // Degrade-path provenance: only present when the broker answered with the
-  // heuristic fallback, so undegraded responses keep their exact old shape.
-  if (reply->degraded) out += " degraded=1";
   out += reply->exact ? " exact=1" : " exact=0";
   out += " algorithm=" + token_safe(reply->algorithm);
   out += " points=" + std::to_string(reply->front.size());

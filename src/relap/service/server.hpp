@@ -55,7 +55,7 @@
 /// thread and one fresh `Session` per connection. Responses within a
 /// connection stay strictly ordered; across connections the broker's shared
 /// batch queue (`Broker::solve_batched`) is what coalesces, dedupes and
-/// priority-orders the actual solving — so concurrent serving returns
+/// deadline-orders the actual solving — so concurrent serving returns
 /// bit-identical fronts to sequential serving.
 ///
 /// Overload behavior on the TCP front (every limit answers with a
@@ -90,7 +90,7 @@ struct SessionOptions {
   std::size_t max_instances = 1024;
   /// Route `solve` through the broker's shared batch queue
   /// (`Broker::solve_batched`) instead of a direct `solve`: concurrent
-  /// sessions then coalesce into one deduped, priority-ordered batch. The
+  /// sessions then coalesce into one deduped, deadline-ordered batch. The
   /// concurrent TCP front turns this on by default.
   bool batch_solves = false;
 };

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -21,10 +22,13 @@
 #include <utility>
 #include <vector>
 
+#include "relap/exec/thread_pool.hpp"
 #include "relap/gen/pipelines.hpp"
 #include "relap/gen/platforms.hpp"
 #include "relap/service/canonical.hpp"
 #include "relap/service/faultpoint.hpp"
+#include "relap/service/snapshot.hpp"
+#include "relap/util/fs.hpp"
 #include "relap/util/rng.hpp"
 #include "relap/util/strings.hpp"
 
@@ -243,7 +247,6 @@ TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {
     SolveRequest request;
     request.instance = r == 0 ? base : shuffled(base, 900 + r);
     request.objective = Objective::ParetoFront;
-    request.priority = static_cast<int>(r % 2);
     batch.push_back(std::move(request));
   }
   const auto replies = broker.solve_batch(batch);
@@ -260,6 +263,43 @@ TEST(Broker, BatchDedupesEqualRequestsOntoOneSolve) {
   EXPECT_EQ(stats.misses, 1U);
   EXPECT_EQ(stats.hits, batch.size() - 1);
   EXPECT_EQ(stats.entries, 1U);
+}
+
+TEST(Broker, DispatchStartsTighterDeadlinesFirst) {
+  // A 1-thread pool runs the groups inline in dispatch order, and a
+  // one-shard cache exports least- to most-recently inserted, so the
+  // snapshot's record order is the order the solves ran in.
+  exec::ThreadPool pool(1);
+  BrokerOptions options;
+  options.pool = &pool;
+  options.cache.shards = 1;
+  Broker broker(options);
+  std::vector<SolveRequest> batch;
+  for (const double deadline : {kInf, 3600.0, kInf, 1800.0}) {
+    SolveRequest request;
+    request.instance = small_instance(60 + batch.size(), 3, 3);
+    request.objective = Objective::ParetoFront;
+    request.deadline = deadline;
+    batch.push_back(std::move(request));
+  }
+  for (const auto& reply : broker.solve_batch(batch)) ASSERT_TRUE(reply.has_value());
+
+  const std::string path = std::string(::testing::TempDir()) + "relap_dispatch_order.snap";
+  ASSERT_TRUE(broker.save_snapshot(path).has_value());
+  const util::Expected<std::string> bytes = util::fs::read_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(bytes.has_value());
+  const auto entries = decode_snapshot(*bytes);
+  ASSERT_TRUE(entries.has_value());
+  ASSERT_EQ(entries->size(), batch.size());
+  // Tighter deadlines first, arrival order among the two +inf requests.
+  const std::size_t solve_order[] = {3, 1, 0, 2};
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    const auto canonical = canonicalize(batch[solve_order[k]].instance);
+    ASSERT_TRUE(canonical.has_value());
+    EXPECT_TRUE((*entries)[k].key.starts_with(canonical->key_bytes))
+        << "record " << k << " should be request " << solve_order[k];
+  }
 }
 
 // A `solve_batched` caller queues only when the cache cannot answer it at
@@ -338,7 +378,6 @@ TEST(Broker, QueuedCallersWithOneKeyShareOneSolve) {
   StalledDrainer drainer(broker, 1.0);
   Caller first(broker, request);
   wait_until([&] { return broker.pending() == 1; });
-  request.priority = 5;
   Caller second(broker, request);
   wait_until([&] { return broker.pending() == 2; });
   EXPECT_EQ(broker.pending(), 2U);
@@ -474,6 +513,7 @@ TEST(Broker, LatencyInfeasibleRepliesQuoteEachCallersOwnThreshold) {
     const auto replies = broker.solve_batch(std::vector<SolveRequest>{slow, fast});
     ASSERT_EQ(replies.size(), 2U);
     EXPECT_EQ(broker.metrics().solves_total.value(), 1U);  // one group, one solve
+    EXPECT_EQ(broker.metrics().deduped_total.value(), 1U);  // errored groups count too
     const double thresholds[] = {t, t / 2};
     for (std::size_t i = 0; i < replies.size(); ++i) {
       ASSERT_FALSE(replies[i].has_value());
@@ -622,7 +662,7 @@ TEST(Broker, ShedTicketsLeaveAdmissionMetricsUntouched) {
   Caller shed_valid(broker, valid_request());
   wait_until([&] { return broker.pending() == 2; });
   SolveRequest urgent = valid_request();
-  urgent.priority = 5;
+  urgent.deadline = 3600.0;  // tighter than the others' +inf: kept
   Caller kept(broker, urgent);
   wait_until([&] { return broker.metrics().shed_total.value() == 2; });
   EXPECT_EQ(broker.pending(), 1U);
@@ -639,32 +679,42 @@ TEST(Broker, ShedTicketsLeaveAdmissionMetricsUntouched) {
   EXPECT_EQ(broker.metrics().canonicalize.count() - canonicalized_before, 1U);
 }
 
-TEST(Broker, WatermarkSheddingDropsLowestPriorityFirst) {
-  BrokerOptions options;
-  options.queue_high_watermark = 4;
-  options.queue_low_watermark = 2;
-  Broker broker(options);
-  StalledDrainer drainer(broker, 1.0);
+TEST(Broker, WatermarkSheddingDropsLatestDeadlinesFirst) {
+  // Five callers queue in order; the fifth crosses the high watermark (4)
+  // and three are shed down to the low one (2): the latest deadlines first,
+  // the newest among equals. The second case splits a tie of 1800s.
+  struct Case {
+    std::vector<double> deadlines;
+    std::vector<bool> survives;
+  };
+  for (const Case& c : {Case{{kInf, 3600.0, kInf, 1800.0, 900.0}, {false, false, false, true, true}},
+                        Case{{1800.0, kInf, 1800.0, 1800.0, kInf}, {true, false, true, false, false}}}) {
+    BrokerOptions options;
+    options.queue_high_watermark = 4;
+    options.queue_low_watermark = 2;
+    Broker broker(options);
+    StalledDrainer drainer(broker, 1.0);
 
-  std::vector<std::unique_ptr<Caller>> callers;
-  for (int p = 0; p < 5; ++p) {
-    SolveRequest request = valid_request();
-    request.priority = p;  // later callers are *more* important
-    callers.push_back(std::make_unique<Caller>(broker, request));
-    if (p < 4) wait_until([&] { return broker.pending() == callers.size(); });
-  }
-  // The fifth caller crossed the high watermark: shed down to the low one,
-  // lowest priorities first, so the two most important callers survive.
-  wait_until([&] { return broker.metrics().shed_total.value() == 3; });
-  EXPECT_EQ(broker.pending(), 2U);
-  EXPECT_EQ(broker.metrics().shed_total.value(), 3U);
+    std::vector<std::unique_ptr<Caller>> callers;
+    for (const double deadline : c.deadlines) {
+      SolveRequest request = valid_request();
+      request.deadline = deadline;
+      callers.push_back(std::make_unique<Caller>(broker, request));
+      if (callers.size() < 5) wait_until([&] { return broker.pending() == callers.size(); });
+    }
+    wait_until([&] { return broker.metrics().shed_total.value() == 3; });
+    EXPECT_EQ(broker.pending(), 2U);
+    EXPECT_EQ(broker.metrics().shed_total.value(), 3U);
 
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_FALSE(callers[i]->reply().has_value()) << "priority " << i << " should be shed";
-    EXPECT_EQ(callers[i]->reply().error().code, "overloaded");
-  }
-  for (std::size_t i = 3; i < 5; ++i) {
-    EXPECT_TRUE(callers[i]->reply().has_value()) << "priority " << i << " should survive";
+    for (std::size_t i = 0; i < callers.size(); ++i) {
+      const util::Expected<Reply>& reply = callers[i]->reply();
+      if (c.survives[i]) {
+        EXPECT_TRUE(reply.has_value()) << "caller " << i << " should survive";
+      } else {
+        ASSERT_FALSE(reply.has_value()) << "caller " << i << " should be shed";
+        EXPECT_EQ(reply.error().code, "overloaded");
+      }
+    }
   }
 }
 

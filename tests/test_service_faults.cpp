@@ -1,8 +1,7 @@
 // Fault-injection suite for the serving stack (service/faultpoint.hpp):
 // every hardened failure path actually executes under test. Torn snapshot
 // writes leave the committed snapshot intact, stalled solves are cancelled
-// at their deadline (or degraded to a heuristic answer), skewed clocks
-// expire budgets deterministically, short socket writes are retried, EOF
+// at their deadline, skewed clocks expire budgets deterministically, short socket writes are retried, EOF
 // mid-line still serves the final line, idle connections are reaped, and
 // overloaded servers refuse connections — all as structured errors, never
 // an assert, hang or torn state.
@@ -162,33 +161,6 @@ TEST_F(Faults, StalledSolveIsCancelledAtItsDeadline) {
   // The same request with no deadline solves fine afterwards.
   request.deadline = kInf;
   ASSERT_TRUE(broker.solve(request).has_value());
-}
-
-TEST_F(Faults, DegradeModeAnswersCancelledSolvesHeuristically) {
-  faultpoint::ArmOptions stall;
-  stall.value = 0.4;
-  faultpoint::arm("broker.solve_stall", stall);
-
-  BrokerOptions options;
-  options.degrade_on_deadline = true;
-  Broker broker(options);
-  SolveRequest request = pareto_request(4);
-  request.deadline = 0.05;
-  const auto reply = broker.solve(request);
-  ASSERT_TRUE(reply.has_value()) << reply.error().to_string();
-  EXPECT_TRUE(reply->degraded);
-  EXPECT_FALSE(reply->exact);
-  EXPECT_FALSE(reply->front.empty());
-  EXPECT_EQ(broker.metrics().degraded_total.value(), 1U);
-  EXPECT_EQ(broker.metrics().cancelled_total.value(), 1U);
-  // Degraded fronts are never cached: the next solve is a fresh miss that
-  // produces the undegraded (exact-capable) answer.
-  EXPECT_EQ(broker.cache_stats().entries, 0U);
-  request.deadline = kInf;
-  const auto exact = broker.solve(request);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_FALSE(exact->cache_hit);
-  EXPECT_FALSE(exact->degraded);
 }
 
 // --- Clock skew. ------------------------------------------------------------

@@ -355,6 +355,28 @@ TEST(Server, LatencyInfeasibleRepliesQuoteTheCallersThreshold) {
             "err 10 infeasible no heuristic candidate meets the latency threshold 0.5\n");
 }
 
+TEST(Server, FrontSweepsPastTheCapAnswerMalformed) {
+  // A sweep allocates one slot per threshold, so an unbounded count could
+  // exhaust memory and abort the whole process.
+  Broker broker;
+  Session session(broker);
+  for (const char* line : {"instance a", "input 1", "stage 0 2 1", "stage 1 3 1", "proc 1 0.1 1 1",
+                           "proc 2 0.2 1 1", "links 1"}) {
+    EXPECT_EQ(feed(session, line), "");
+  }
+  EXPECT_EQ(feed(session, "end"), "ok instance a stages=2 processors=2\n");
+  std::size_t seq = 9;
+  for (const char* sweep : {"18446744073709551615", "1000000000000", "1025"}) {
+    EXPECT_EQ(feed(session, std::string("solve a obj=pareto method=heuristic sweep=") + sweep),
+              "err " + std::to_string(seq) +
+                  " malformed pareto_thresholds must be <= 1024 for a front sweep\n");
+    EXPECT_EQ(feed(session, "ping"), "ok pong\n");
+    seq += 2;  // the solve and its ping
+  }
+  const std::string reply = feed(session, "solve a obj=pareto method=heuristic sweep=1024");
+  EXPECT_EQ(reply.rfind("ok solve name=a cache=miss", 0), 0U) << reply;
+}
+
 /// `count` numerals of one instance column for the fuzz below. They are
 /// valid for the column: log-uniform over the whole double range (5e-324 to
 /// 1.7e308), or below 1 for failure probabilities. But one column in ten
@@ -407,6 +429,19 @@ std::vector<std::string> fuzz_instance_block(std::mt19937_64& rng) {
   return lines;
 }
 
+/// A `sweep=` value for the fuzz below: small (0-39, in range from 2), next
+/// to the 1024 cap, or any 64-bit numeral.
+std::string fuzz_sweep(std::mt19937_64& rng) {
+  switch (rng() % 3) {
+    case 0:
+      return std::to_string(rng() % 40);
+    case 1:
+      return std::to_string(1023 + rng() % 4);
+    default:
+      return std::to_string(rng() >> (rng() % 64));
+  }
+}
+
 /// The (latency, fp) pair of every `point` line of a solve reply; nullopt
 /// for a field that does not parse.
 std::vector<std::pair<std::optional<double>, std::optional<double>>> reply_points(
@@ -448,6 +483,7 @@ TEST(Server, SeededNumeralFuzzOnlyEverAnswersStructuredLines) {
   static constexpr const char* kMethods[] = {"auto", "exact", "heuristic", "exhaustive"};
   std::size_t solved = 0;
   std::size_t too_wide = 0;
+  std::size_t capped = 0;
   for (const std::uint64_t seed : {101U, 202U, 303U}) {
     Broker broker;
     Session session(broker);
@@ -464,6 +500,7 @@ TEST(Server, SeededNumeralFuzzOnlyEverAnswersStructuredLines) {
       solve += " threshold=";
       solve += fuzz_column(rng, 1, rng() % 2 == 0)[0];
       solve += " budget=" + std::to_string(1 + rng() % 5000);
+      solve += " sweep=" + fuzz_sweep(rng);
       const std::string response = feed(session, solve);
       ASSERT_TRUE(well_formed(response)) << "seed " << seed << ": " << solve << " -> " << response;
       ASSERT_TRUE(response.rfind("ok solve", 0) == 0 || is_err(response)) << response;
@@ -483,12 +520,15 @@ TEST(Server, SeededNumeralFuzzOnlyEverAnswersStructuredLines) {
       }
       solved += response.rfind("ok solve", 0) == 0 ? 1 : 0;
       too_wide += response.find("too wide a range") != std::string::npos ? 1 : 0;
+      capped += response.find("pareto_thresholds must be <=") != std::string::npos ? 1 : 0;
       ASSERT_EQ(feed(session, "ping"), "ok pong\n") << "seed " << seed << " after " << solve;
     }
   }
-  // The draws reach both a real solve and the normalization range rule.
+  // The draws reach a real solve, the normalization range rule and the
+  // sweep cap.
   EXPECT_GT(solved, 0U);
   EXPECT_GT(too_wide, 0U);
+  EXPECT_GT(capped, 0U);
 }
 
 TEST(Server, ErrSeqCorrelatesWithSessionLineOrdinals) {
